@@ -150,13 +150,10 @@ def _cmd_query(args) -> int:
     kind = _index_kind(index_db)
     width = index_db.entries[0].vectors[kind].width
     diagram_db = _load_diagram_dir(args.diagrams)
+    diagrams = {d.model_id: d.diagram for d in diagram_db.entries}
     entries = []
     for e in index_db.entries:
-        match = None
-        for d in diagram_db.entries:
-            if d.model_id == e.model_id:
-                match = d.diagram
-                break
+        match = diagrams.get(e.model_id)
         if match is None:
             raise ValueError(f"no diagram file for indexed model {e.model_id!r}")
         if match.total_multiplicity() > width:
@@ -214,7 +211,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--index", default=None, help="coefficient index (for d1/d2/d3)")
     p.add_argument("--diagrams", default=None, help="diagram directory (for bottleneck)")
     p.add_argument("--metric", required=True, choices=sorted(METRICS))
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument(
+        "--threads", type=int, default=1, help="worker processes, at most the CPU count"
+    )
     p.add_argument("--out", required=True, help="output matrix CSV")
     p.set_defaults(func=_cmd_dist)
 

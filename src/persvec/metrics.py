@@ -66,11 +66,12 @@ def point_distance(p: tuple[float, float], q: tuple[float, float]) -> float:
     return min(move, destroy)
 
 
-def _expand(diagram: PersistenceDiagram) -> list[tuple[float, float]]:
-    pts: list[tuple[float, float]] = []
-    for p in diagram:
-        pts.extend([(p.birth, p.death)] * p.multiplicity)
-    return pts
+def _expanded_points(diagram: PersistenceDiagram) -> tuple[np.ndarray, np.ndarray]:
+    """Births and deaths as float arrays, each point repeated by its multiplicity."""
+    births = np.array([p.birth for p in diagram.points], dtype=float)
+    deaths = np.array([p.death for p in diagram.points], dtype=float)
+    mult = np.array([p.multiplicity for p in diagram.points], dtype=np.intp)
+    return np.repeat(births, mult), np.repeat(deaths, mult)
 
 
 def _cost_matrix(a: PersistenceDiagram, b: PersistenceDiagram) -> np.ndarray:
@@ -79,23 +80,32 @@ def _cost_matrix(a: PersistenceDiagram, b: PersistenceDiagram) -> np.ndarray:
     Rows are the m points of ``a`` followed by n stand-ins, columns the
     n points of ``b`` followed by m stand-ins.  A point matched to a
     stand-in is destroyed at half its gap; two stand-ins pair for free,
-    so unequal point counts never block a perfect matching.
+    so unequal point counts never block a perfect matching.  Point cells
+    follow :func:`point_distance` operation for operation, so each holds
+    the same float; the points were validated when they were built.
     """
-    pa, pb = _expand(a), _expand(b)
-    m, n = len(pa), len(pb)
-    size = m + n
-    cost = np.zeros((size, size), dtype=float)
-    for i, p in enumerate(pa):
-        for j, q in enumerate(pb):
-            cost[i, j] = point_distance(p, q)
-        cost[i, n:] = (p[1] - p[0]) / 2.0
-    for j, q in enumerate(pb):
-        cost[m:, j] = (q[1] - q[0]) / 2.0
+    ua, va = _expanded_points(a)
+    ub, vb = _expanded_points(b)
+    m, n = len(ua), len(ub)
+    half_a = (va - ua) / 2.0
+    half_b = (vb - ub) / 2.0
+    cost = np.zeros((m + n, m + n), dtype=float)
+    move = np.maximum(np.abs(ua[:, None] - ub[None, :]), np.abs(va[:, None] - vb[None, :]))
+    cost[:m, :n] = np.minimum(move, np.maximum(half_a[:, None], half_b[None, :]))
+    cost[:m, n:] = half_a[:, None]
+    cost[m:, :n] = half_b[None, :]
     return cost
 
 
 def _has_perfect_matching(cost: np.ndarray, threshold: float) -> bool:
-    graph = csr_matrix(cost <= threshold)
+    mask = cost <= threshold
+    size = len(mask)
+    indptr = np.zeros(size + 1, dtype=np.int32)
+    np.cumsum(np.count_nonzero(mask, axis=1), out=indptr[1:])
+    # Row-major flat positions give each row's columns in order.
+    indices = (np.flatnonzero(mask) % size).astype(np.int32)
+    edges = np.ones(len(indices), dtype=bool)
+    graph = csr_matrix((edges, indices, indptr), shape=mask.shape)
     match = maximum_bipartite_matching(graph, perm_type="column")
     return bool(np.all(match >= 0))
 
@@ -103,15 +113,32 @@ def _has_perfect_matching(cost: np.ndarray, threshold: float) -> bool:
 def bottleneck_distance(a: PersistenceDiagram, b: PersistenceDiagram) -> float:
     """Exact bottleneck distance between two diagrams.
 
-    The optimum is always attained at one of the pairwise costs, so a
-    binary search over the sorted cost values with a perfect-matching
-    feasibility test at each probe finds it exactly.
+    The optimum is always one of the pairwise costs, and feasibility
+    (a perfect matching using only edges of cost <= t) only gets easier
+    as t grows, so the smallest feasible cost is the exact answer.  The
+    search for it starts at a lower bound: every row and every column
+    must be matched, so the answer is at least L, the larger of the
+    largest row minimum and the largest column minimum, and L is itself
+    a cost.  From L the search gallops upward through the sorted costs
+    (steps of 1, 2, 4, ...) until a probe is feasible, then bisects the
+    last bracket.  Skipping the costs below L drops only infeasible
+    thresholds, so the result is the one a bisection over all costs
+    finds, in a few probes when the answer lies near L.
     """
     cost = _cost_matrix(a, b)
     if cost.size == 0:
         return 0.0
-    candidates = np.unique(cost)
-    lo, hi = 0, len(candidates) - 1
+    bound = max(cost.min(axis=1).max(), cost.min(axis=0).max())
+    candidates = np.unique(cost[cost >= bound])
+    # Every candidate below lo is infeasible; candidates[hi] is feasible
+    # once probed, and the largest cost always is (the graph is complete).
+    last = len(candidates) - 1
+    lo = hi = 0
+    step = 1
+    while hi < last and not _has_perfect_matching(cost, candidates[hi]):
+        lo = hi + 1
+        hi = min(hi + step, last)
+        step *= 2
     while lo < hi:
         mid = (lo + hi) // 2
         if _has_perfect_matching(cost, candidates[mid]):

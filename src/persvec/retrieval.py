@@ -203,7 +203,8 @@ def distance_matrix(
     ``metric`` is one of d1/d2/d3 (requires ``transform`` and embedded
     vectors, optionally truncated to ``count``) or "bottleneck" (works
     on the diagrams directly; ``transform`` must be omitted).  With
-    ``threads`` > 1 the pairs are split across worker processes; cells
+    ``threads`` > 1 the pairs are split across at most ``threads``
+    worker processes, never more than the machine's CPU count; cells
     are keyed by index, so the result is schedule-independent.
     """
     if threads < 1:
@@ -236,10 +237,11 @@ def distance_matrix(
     else:
         raise ValueError(f"unknown metric {metric!r}")
 
-    if threads == 1 or len(pairs) < 2:
+    workers = min(threads, os.cpu_count() or 1)
+    if workers == 1 or len(pairs) < 2:
         cells = task(*args, pairs)
     else:
-        chunks = [pairs[c::threads] for c in range(threads) if pairs[c::threads]]
+        chunks = [pairs[c::workers] for c in range(workers) if pairs[c::workers]]
         with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
             futures = [pool.submit(task, *args, chunk) for chunk in chunks]
             cells = [cell for fut in futures for cell in fut.result()]

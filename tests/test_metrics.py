@@ -2,11 +2,14 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from persvec.coefficients import CoefficientVector
 from persvec.diagram import PersistenceDiagram
 from persvec.metrics import (
     COEFFICIENT_METRICS,
+    _cost_matrix,
     bottleneck_bruteforce,
     bottleneck_distance,
     coefficient_distance,
@@ -162,6 +165,64 @@ def test_bottleneck_agrees_with_bruteforce():
         fast = bottleneck_distance(a, b)
         slow = bottleneck_bruteforce(a, b)
         assert abs(fast - slow) <= 1e-12
+
+
+def expanded(diagram):
+    return [(p.birth, p.death) for p in diagram for _ in range(p.multiplicity)]
+
+
+def test_cost_matrix_cells_equal_point_distance():
+    # The brute-force oracle shares _cost_matrix with bottleneck_distance,
+    # so every cell is tied here to the scalar point_distance reference.
+    rng = random.Random(47)
+    empty = PersistenceDiagram()
+    one = PersistenceDiagram.from_pairs([(0.25, 1.5, 2), (1.0, 1.75)])
+    cases = [(one, empty), (empty, one), (empty, empty)]
+    for _ in range(40):
+        cases.append((random_diagram(rng, 6, 3), random_diagram(rng, 6, 3)))
+    assert any(p.multiplicity > 1 for a, _ in cases for p in a)
+    for a, b in cases:
+        pa, pb = expanded(a), expanded(b)
+        m, n = len(pa), len(pb)
+        cost = _cost_matrix(a, b)
+        assert cost.shape == (m + n, m + n)
+        for i, p in enumerate(pa):
+            for j, q in enumerate(pb):
+                assert cost[i, j] == point_distance(p, q)
+            assert all(c == (p[1] - p[0]) / 2.0 for c in cost[i, n:])
+        for j, q in enumerate(pb):
+            assert all(c == (q[1] - q[0]) / 2.0 for c in cost[m:, j])
+        assert not cost[m:, n:].any()
+    assert bottleneck_distance(empty, empty) == 0.0
+
+
+@st.composite
+def grid_diagram_pairs(draw):
+    """Two diagrams on a half-integer grid, at most 8 points in total.
+
+    Only 12 grid points exist, so costs tie often, the search's lower
+    bound is often the answer, and the two diagrams often share points.
+    """
+    grid = st.tuples(st.integers(0, 3), st.integers(1, 3))
+    budget_a = draw(st.integers(0, 8))
+    pair = []
+    for budget in (budget_a, 8 - budget_a):
+        pts = []
+        for birth, gap in draw(st.lists(grid, min_size=1, max_size=4)):
+            if budget == 0:
+                break
+            mult = draw(st.integers(1, min(3, budget)))
+            budget -= mult
+            pts.append((birth / 2, (birth + gap) / 2, mult))
+        pair.append(PersistenceDiagram.from_pairs(pts))
+    return tuple(pair)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(grid_diagram_pairs())
+def test_bottleneck_equals_bruteforce_on_grid_ties(pair):
+    a, b = pair
+    assert bottleneck_distance(a, b) == bottleneck_bruteforce(a, b)
 
 
 def test_bruteforce_cap():

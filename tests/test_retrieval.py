@@ -1,9 +1,11 @@
 import math
 import random
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
 
+import persvec.retrieval as retrieval
 from persvec.coefficients import CoefficientVector
 from persvec.diagram import PersistenceDiagram
 from persvec.metrics import bottleneck_distance, coefficient_distance
@@ -162,6 +164,39 @@ def test_distance_matrix_parallel_matches_sequential():
         seq = distance_matrix(db, metric, transform=transform, threads=1)
         par = distance_matrix(db, metric, transform=transform, threads=3)
         assert np.array_equal(seq.values, par.values)
+
+
+def test_distance_matrix_caps_workers_at_cpu_count(monkeypatch):
+    requested = []
+
+    class InlinePool:
+        """Records the requested worker count and runs every task in-process."""
+
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            fut = Future()
+            fut.set_result(fn(*args))
+            return fut
+
+    monkeypatch.setattr(retrieval, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(retrieval.os, "cpu_count", lambda: 2)
+    db = diagram_db(random_diagrams(random.Random(13), 6, max_points=4))
+    seq = distance_matrix(db, "bottleneck", threads=1)
+    par = distance_matrix(db, "bottleneck", threads=10**6)
+    assert requested == [2]
+    assert np.array_equal(seq.values, par.values)
+    # an unknown CPU count runs serially
+    monkeypatch.setattr(retrieval.os, "cpu_count", lambda: None)
+    assert np.array_equal(distance_matrix(db, "bottleneck", threads=10**6).values, seq.values)
+    assert requested == [2]
 
 
 def test_distance_matrix_errors():
