@@ -87,11 +87,12 @@ def _load_diagram_dir(directory: str) -> LabeledDatabase:
     return LabeledDatabase(tuple(entries))
 
 
-def _index_kind(db: LabeledDatabase) -> str:
-    kinds = {k for e in db.entries for k in e.vectors}
-    if len(kinds) != 1:
-        raise ValueError(f"index must hold exactly one transform kind, found {sorted(kinds)}")
-    return kinds.pop()
+def _load_nonempty_index(path) -> tuple[LabeledDatabase, str]:
+    """A non-empty index and its transform kind (one per file, by parse_index)."""
+    db = load_index(path)
+    if not db.entries:
+        raise ValueError("the index is empty")
+    return db, next(iter(db.entries[0].vectors))
 
 
 def _cmd_diagram(args) -> int:
@@ -127,10 +128,8 @@ def _cmd_dist(args) -> int:
             )
         if args.index is None:
             raise ValueError(f"{args.metric} needs --index")
-        db = load_index(args.index)
-        matrix = distance_matrix(
-            db, args.metric, transform=_index_kind(db), threads=args.threads
-        )
+        db, kind = _load_nonempty_index(args.index)
+        matrix = distance_matrix(db, args.metric, transform=kind, threads=args.threads)
     _atomic_write(args.out, serialize_matrix(matrix))
     return 0
 
@@ -144,10 +143,7 @@ def _cmd_pr(args) -> int:
 
 
 def _cmd_query(args) -> int:
-    index_db = load_index(args.index)
-    if not index_db.entries:
-        raise ValueError("the index is empty")
-    kind = _index_kind(index_db)
+    index_db, kind = _load_nonempty_index(args.index)
     width = index_db.entries[0].vectors[kind].width
     diagram_db = _load_diagram_dir(args.diagrams)
     diagrams = {d.model_id: d.diagram for d in diagram_db.entries}
@@ -212,7 +208,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--diagrams", default=None, help="diagram directory (for bottleneck)")
     p.add_argument("--metric", required=True, choices=sorted(METRICS))
     p.add_argument(
-        "--threads", type=int, default=1, help="worker processes, at most the CPU count"
+        "--threads",
+        type=int,
+        default=1,
+        help="worker processes for bottleneck pairs, at most the CPU count; "
+        "d1/d2/d3 run in one vectorised pass and ignore it",
     )
     p.add_argument("--out", required=True, help="output matrix CSV")
     p.set_defaults(func=_cmd_dist)

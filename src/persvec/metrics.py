@@ -40,12 +40,19 @@ def coefficient_distance(a: CoefficientVector, b: CoefficientVector, kind: str) 
         raise ValueError(f"coefficient count mismatch: {a.count} vs {b.count}")
     gaps = [abs(x - y) for x, y in zip(a.coefficients, b.coefficients)]
     if kind == "d1":
-        return float(sum(gaps))
-    if kind == "d2":
-        return float(sum(g / j for j, g in enumerate(gaps, start=1)))
-    if kind == "d3":
-        return float(sum(g ** (1.0 / j) for j, g in enumerate(gaps, start=1)))
-    raise ValueError(f"unknown metric {kind!r}, expected one of {COEFFICIENT_METRICS}")
+        terms = gaps
+    elif kind == "d2":
+        terms = [g / j for j, g in enumerate(gaps, start=1)]
+    elif kind == "d3":
+        terms = [g ** (1.0 / j) for j, g in enumerate(gaps, start=1)]
+    else:
+        raise ValueError(f"unknown metric {kind!r}, expected one of {COEFFICIENT_METRICS}")
+    # Plain left-to-right addition, as distance_matrix does: the builtin
+    # sum() compensates float rounding from Python 3.12 on.
+    total = 0.0
+    for t in terms:
+        total += t
+    return total
 
 
 def point_distance(p: tuple[float, float], q: tuple[float, float]) -> float:

@@ -2,8 +2,9 @@
 
 A database is a list of labeled models, each carrying its persistence
 diagram and any coefficient vectors computed for it.  This module fills
-all-pairs distance matrices (optionally in parallel), scores rankings
-with an interpolated precision/recall protocol, runs the two-stage
+all-pairs distance matrices (coefficient metrics in one vectorised
+pass, the bottleneck optionally in parallel), scores rankings with an
+interpolated precision/recall protocol, runs the two-stage
 prefilter-then-rerank query, and persists coefficient indexes to CSV.
 
 The PR protocol, spelled out because conventions differ: every model
@@ -185,10 +186,48 @@ def _bottleneck_cells(diagrams, pairs):
     return [(i, j, bottleneck_distance(diagrams[i], diagrams[j])) for i, j in pairs]
 
 
-def _coefficient_cells(vectors, kind, pairs):
-    return [
-        (i, j, coefficient_distance(vectors[i], vectors[j], kind)) for i, j in pairs
-    ]
+def _bottleneck_matrix(diagrams: list[PersistenceDiagram], threads: int) -> np.ndarray:
+    n = len(diagrams)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    workers = min(threads, os.cpu_count() or 1)
+    if workers == 1 or len(pairs) < 2:
+        cells = _bottleneck_cells(diagrams, pairs)
+    else:
+        chunks = [pairs[c::workers] for c in range(workers) if pairs[c::workers]]
+        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+            futures = [pool.submit(_bottleneck_cells, diagrams, chunk) for chunk in chunks]
+            cells = [cell for fut in futures for cell in fut.result()]
+    values = np.zeros((n, n), dtype=float)
+    for i, j, d in cells:
+        values[i, j] = values[j, i] = d
+    return values
+
+
+def _coefficient_matrix(coeffs: np.ndarray, kind: str) -> np.ndarray:
+    """All-pairs ``kind`` distances between the rows of an (N, k) complex array.
+
+    Every cell is the float :func:`coefficient_distance` returns: the gap
+    is ``np.hypot``, the libm call behind ``abs(complex)``; d3 takes
+    ``np.float_power``, the libm ``pow`` behind ``float ** float``
+    (``np.abs`` and ``np.power`` may take SIMD paths that differ in the
+    last bit); and the k terms are added left to right by a cumulative
+    sum.  One row of the upper triangle is built at a time, so memory
+    stays O(N * k) beyond the result.
+    """
+    n, k = coeffs.shape
+    j = np.arange(1, k + 1)
+    values = np.zeros((n, n), dtype=float)
+    for i in range(n - 1):
+        diff = coeffs[i] - coeffs[i + 1 :]
+        terms = np.hypot(diff.real, diff.imag)
+        if kind == "d2":
+            terms /= j
+        elif kind == "d3":
+            terms = np.float_power(terms, 1.0 / j)
+        row = np.cumsum(terms, axis=1)[:, -1]
+        values[i, i + 1 :] = row
+        values[i + 1 :, i] = row
+    return values
 
 
 def distance_matrix(
@@ -202,17 +241,18 @@ def distance_matrix(
 
     ``metric`` is one of d1/d2/d3 (requires ``transform`` and embedded
     vectors, optionally truncated to ``count``) or "bottleneck" (works
-    on the diagrams directly; ``transform`` must be omitted).  With
-    ``threads`` > 1 the pairs are split across at most ``threads``
-    worker processes, never more than the machine's CPU count; cells
-    are keyed by index, so the result is schedule-independent.
+    on the diagrams directly; ``transform`` must be omitted).  The
+    coefficient metrics are computed in one vectorised pass over the
+    stacked vectors, and ``threads`` has no effect on them.  For the
+    bottleneck, ``threads`` > 1 splits the pairs across at most
+    ``threads`` worker processes, never more than the machine's CPU
+    count; cells are keyed by index, so the result is
+    schedule-independent.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     if not db.entries:
         raise ValueError("cannot build a distance matrix for an empty database")
-    n = len(db.entries)
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     if metric == "bottleneck":
         if transform is not None:
             raise ValueError("the bottleneck metric does not take a transform")
@@ -221,34 +261,21 @@ def distance_matrix(
             if e.diagram is None:
                 raise ValueError(f"entry {e.model_id!r} has no diagram")
             diagrams.append(e.diagram)
-        task, args = _bottleneck_cells, (diagrams,)
+        values = _bottleneck_matrix(diagrams, threads)
     elif metric in COEFFICIENT_METRICS:
         if transform is None:
             raise ValueError(f"metric {metric!r} needs a transform kind")
-        vectors = []
+        rows = []
         for e in db.entries:
             vec = e.vectors.get(transform)
             if vec is None:
                 raise ValueError(f"entry {e.model_id!r} has no {transform!r} embedding")
             if count is not None:
                 vec = vec.truncate(count)
-            vectors.append(vec)
-        task, args = _coefficient_cells, (vectors, metric)
+            rows.append(vec.coefficients)
+        values = _coefficient_matrix(np.array(rows, dtype=complex), metric)
     else:
         raise ValueError(f"unknown metric {metric!r}")
-
-    workers = min(threads, os.cpu_count() or 1)
-    if workers == 1 or len(pairs) < 2:
-        cells = task(*args, pairs)
-    else:
-        chunks = [pairs[c::workers] for c in range(workers) if pairs[c::workers]]
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            futures = [pool.submit(task, *args, chunk) for chunk in chunks]
-            cells = [cell for fut in futures for cell in fut.result()]
-
-    values = np.zeros((n, n), dtype=float)
-    for i, j, d in cells:
-        values[i, j] = values[j, i] = d
     return DistanceMatrix(tuple(e.model_id for e in db.entries), values)
 
 
@@ -277,36 +304,28 @@ def pr_curve(matrix: DistanceMatrix, labels: Mapping[str, str]) -> PRTable:
 
     grid = max(class_sizes.values()) - 1
     n = len(ids)
-    per_query: dict[str, list[float]] = {}
+    by_id = sorted(range(n), key=ids.__getitem__)
+    id_rank = np.empty(n, dtype=np.intp)
+    id_rank[by_id] = np.arange(n)
+    class_code = {cls: c for c, cls in enumerate(class_sizes)}
+    codes = np.array([class_code[labels[mid]] for mid in ids])
+    levels = np.arange(1, grid + 1)
+    at_levels = np.empty((n, grid))
     for qi in range(n):
-        qclass = labels[ids[qi]]
-        order = sorted(
-            (x for x in range(n) if x != qi),
-            key=lambda x: (matrix.values[qi, x], ids[x]),
-        )
-        relevant = class_sizes[qclass] - 1
-        precisions = []
-        hits = 0
-        for rank, x in enumerate(order, start=1):
-            if labels[ids[x]] == qclass:
-                hits += 1
-                precisions.append(hits / rank)
-                if hits == relevant:
-                    break
+        # rank by (distance, id); the query itself sorts among the zeros
+        order = np.lexsort((id_rank, matrix.values[qi]))
+        order = order[order != qi]
+        relevant = class_sizes[labels[ids[qi]]] - 1
+        hit_ranks = np.flatnonzero(codes[order] == codes[qi]) + 1
+        precisions = np.arange(1, relevant + 1) / hit_ranks
         # interpolate: best precision at recall >= level
-        for t in range(relevant - 2, -1, -1):
-            precisions[t] = max(precisions[t], precisions[t + 1])
-        at_levels = []
-        for i in range(1, grid + 1):
-            # smallest t with t/relevant >= i/grid, in exact integer math
-            t = -((-i * relevant) // grid)
-            at_levels.append(precisions[t - 1])
-        per_query[ids[qi]] = at_levels
-    # average in sorted-id order, so database order cannot even shift rounding
-    rows = []
-    for i in range(grid):
-        total = sum(per_query[q][i] for q in sorted(per_query))
-        rows.append(((i + 1) / grid, total / n))
+        precisions = np.maximum.accumulate(precisions[::-1])[::-1]
+        # smallest t with t/relevant >= i/grid, in exact integer math
+        at_levels[qi] = precisions[-((-levels * relevant) // grid) - 1]
+    # average in sorted-id order, adding strictly left to right, so
+    # database order cannot even shift rounding
+    totals = np.cumsum(at_levels[by_id], axis=0)[-1]
+    rows = [((i + 1) / grid, total / n) for i, total in enumerate(totals.tolist())]
     return PRTable(tuple(rows))
 
 
@@ -467,8 +486,8 @@ def load_index(path) -> LabeledDatabase:
 
 def serialize_matrix(matrix: DistanceMatrix) -> str:
     lines = [",".join(matrix.ids)]
-    for row in matrix.values:
-        lines.append(",".join(repr(float(x)) for x in row))
+    for row in matrix.values.tolist():
+        lines.append(",".join(map(repr, row)))
     return "\n".join(lines) + "\n"
 
 
@@ -486,7 +505,7 @@ def parse_matrix(text: str) -> DistanceMatrix:
         if len(fields) != n:
             raise ValueError(f"matrix row {i} has {len(fields)} fields, expected {n}")
         try:
-            values[i] = [float(f) for f in fields]
+            values[i] = list(map(float, fields))
         except ValueError:
             raise ValueError(f"matrix row {i} has a malformed value") from None
     return DistanceMatrix(ids, values)

@@ -242,6 +242,21 @@ def test_failures_exit_one_with_single_line(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_empty_index_is_rejected(tmp_path, capsys):
+    index = tmp_path / "index.csv"
+    index.write_text("# coefficient-index v1\n")
+    out = tmp_path / "mat.csv"
+    for argv in (
+        ("dist", "--index", str(index), "--metric", "d1", "--out", str(out)),
+        ("query", "--index", str(index), "--diagrams", str(tmp_path), "--id", "a",
+         "--candidates", "1"),
+    ):
+        capsys.readouterr()
+        assert run(*argv) == 1, argv
+        assert capsys.readouterr().err == "error: the index is empty\n", argv
+    assert not out.exists()
+
+
 def test_bad_mesh_leaves_no_output(tmp_path, capsys):
     mesh = tmp_path / "bad.off"
     mesh.write_text("OFF\n2 1 0\n0 0 0\n1 1 1\n4 0 1 0 1\n")

@@ -1,9 +1,11 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from persvec.coefficients import CoefficientVector
 from persvec.diagram import PersistenceDiagram
@@ -223,6 +225,51 @@ def grid_diagram_pairs(draw):
 def test_bottleneck_equals_bruteforce_on_grid_ties(pair):
     a, b = pair
     assert bottleneck_distance(a, b) == bottleneck_bruteforce(a, b)
+
+
+def plain_bisection(cost):
+    """All distinct costs and the index of the smallest one a perfect matching fits under.
+
+    Bisects over every cost, not just those above a lower bound, and
+    decides feasibility with scipy's assignment solver on the 0/1
+    "too expensive" matrix, independently of the code under test.
+    """
+    candidates = np.unique(cost)
+    lo, hi = 0, len(candidates) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        over = (cost > candidates[mid]).astype(float)
+        rows, cols = linear_sum_assignment(over)
+        if over[rows, cols].sum() == 0:
+            hi = mid
+        else:
+            lo = mid + 1
+    return candidates, lo
+
+
+def test_bottleneck_equals_plain_bisection_far_above_lower_bound():
+    # Diagrams of 20-40 points put the answer well above the search's
+    # lower bound L, past the first galloping steps, so a fault in the
+    # final bisection shows here; the small-diagram tests rarely get there.
+    rng = random.Random(53)
+
+    def wide_diagram():
+        pts = []
+        for _ in range(rng.randint(20, 40)):
+            birth = rng.uniform(0, 1)
+            pts.append((birth, birth + rng.uniform(0.01, 0.6)))
+        return PersistenceDiagram.from_pairs(pts)
+
+    far = 0
+    for _ in range(20):
+        a, b = wide_diagram(), wide_diagram()
+        cost = _cost_matrix(a, b)
+        candidates, answer = plain_bisection(cost)
+        bound = max(cost.min(axis=1).max(), cost.min(axis=0).max())
+        if answer - np.searchsorted(candidates, bound) >= 2:
+            far += 1
+        assert bottleneck_distance(a, b) == candidates[answer]
+    assert far >= 15
 
 
 def test_bruteforce_cap():

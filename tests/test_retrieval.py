@@ -1,14 +1,17 @@
 import math
 import random
+from collections import Counter
 from concurrent.futures import Future
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import persvec.retrieval as retrieval
 from persvec.coefficients import CoefficientVector
 from persvec.diagram import PersistenceDiagram
-from persvec.metrics import bottleneck_distance, coefficient_distance
+from persvec.metrics import COEFFICIENT_METRICS, bottleneck_distance, coefficient_distance
 from persvec.retrieval import (
     DatabaseEntry,
     DistanceMatrix,
@@ -156,6 +159,46 @@ def test_distance_matrix_matches_cellwise_recomputation():
             assert cmat.values[i, j] == want
 
 
+# a zero, or a mantissa in [1, 10) times 10**-30 .. 10**30, either sign
+component = st.just(0.0) | st.builds(
+    lambda sign, mantissa, exponent: sign * mantissa * 10.0**exponent,
+    st.sampled_from((1.0, -1.0)),
+    st.floats(1.0, 10.0, exclude_max=True),
+    st.integers(-30, 30),
+)
+
+
+@st.composite
+def coefficient_rows(draw):
+    """2-6 rows of k <= 5 complex coefficients, plus an optional truncation count."""
+    k = draw(st.integers(1, 5))
+    row = st.lists(st.builds(complex, component, component), min_size=k, max_size=k)
+    rows = draw(st.lists(row, min_size=2, max_size=6))
+    return rows, draw(st.none() | st.integers(1, k))
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(coefficient_rows())
+def test_coefficient_matrix_equals_coefficient_distance(case):
+    rows, count = case
+    width = len(rows[0]) + 1
+    db = LabeledDatabase(
+        tuple(
+            DatabaseEntry(f"m{i}", "x", None, {"R": CoefficientVector(tuple(r), width)})
+            for i, r in enumerate(rows)
+        )
+    )
+    vecs = [e.vectors["R"] for e in db.entries]
+    if count is not None:
+        vecs = [v.truncate(count) for v in vecs]
+    for kind in COEFFICIENT_METRICS:
+        values = distance_matrix(db, kind, transform="R", count=count).values
+        for i, a in enumerate(vecs):
+            for j, b in enumerate(vecs):
+                want = 0.0 if i == j else coefficient_distance(a, b, kind)
+                assert values[i, j] == want, (kind, i, j)
+
+
 def test_distance_matrix_parallel_matches_sequential():
     rng = random.Random(11)
     diagrams = random_diagrams(rng, 6, max_points=4)
@@ -272,6 +315,62 @@ def test_pr_curve_order_permutation_invariant():
     pids = tuple(ids[p] for p in perm)
     pvals = raw[np.ix_(perm, perm)]
     assert pr_curve(DistanceMatrix(pids, pvals), labels) == base
+
+
+def sort_based_pr(matrix, labels):
+    """The precision/recall protocol with one Python sort per query: pr_curve's reference."""
+    ids = matrix.ids
+    class_sizes = Counter(labels[mid] for mid in ids)
+    grid = max(class_sizes.values()) - 1
+    n = len(ids)
+    per_query = {}
+    for qi in range(n):
+        qclass = labels[ids[qi]]
+        order = sorted(
+            (x for x in range(n) if x != qi),
+            key=lambda x: (matrix.values[qi, x], ids[x]),
+        )
+        relevant = class_sizes[qclass] - 1
+        precisions = []
+        hits = 0
+        for rank, x in enumerate(order, start=1):
+            if labels[ids[x]] == qclass:
+                hits += 1
+                precisions.append(hits / rank)
+                if hits == relevant:
+                    break
+        for t in range(relevant - 2, -1, -1):
+            precisions[t] = max(precisions[t], precisions[t + 1])
+        per_query[ids[qi]] = [
+            precisions[-((-i * relevant) // grid) - 1] for i in range(1, grid + 1)
+        ]
+    rows = []
+    for i in range(grid):
+        # left to right: the builtin sum() compensates from Python 3.12 on
+        total = 0.0
+        for q in sorted(per_query):
+            total += per_query[q][i]
+        rows.append(((i + 1) / grid, total / n))
+    return PRTable(tuple(rows))
+
+
+def test_pr_curve_matches_sort_based_protocol():
+    # Three distances (zero in both signs) make ties everywhere; ids run
+    # past m9, so string order (m10 < m9) differs from numeric order.
+    rng = random.Random(59)
+    for _ in range(25):
+        sizes = [rng.randint(2, 7) for _ in range(rng.randint(2, 5))]
+        n = sum(sizes)
+        ids = [f"m{i}" for i in range(n)]
+        rng.shuffle(ids)
+        classes = [f"k{c}" for c, size in enumerate(sizes) for _ in range(size)]
+        labels = dict(zip(ids, classes))
+        values = np.zeros((n, n))
+        for i in range(n):
+            for j in range(i + 1, n):
+                values[i, j] = values[j, i] = rng.choice((0.0, -0.0, 0.5, 1.0))
+        matrix = DistanceMatrix(tuple(ids), values)
+        assert pr_curve(matrix, labels) == sort_based_pr(matrix, labels)
 
 
 def test_pr_curve_errors():
@@ -395,6 +494,22 @@ def test_matrix_csv_errors():
         parse_matrix("a,b\n0.0,1.0\n")
     with pytest.raises(ValueError, match="fields"):
         parse_matrix("a,b\n0.0,1.0\n1.0\n")
+    with pytest.raises(ValueError, match="malformed value"):
+        parse_matrix("a,b\n0.0,x\n1.0,0.0\n")
+
+
+def test_matrix_csv_is_per_cell_repr():
+    tiny, sum_, huge = 5e-324, 0.1 + 0.2, 1e300
+    values = np.array([[0.0, tiny, sum_], [tiny, 0.0, huge], [sum_, huge, 0.0]])
+    text = serialize_matrix(DistanceMatrix(("a", "b", "c"), values))
+    assert text == (
+        "a,b,c\n"
+        "0.0,5e-324,0.30000000000000004\n"
+        "5e-324,0.0,1e+300\n"
+        "0.30000000000000004,1e+300,0.0\n"
+    )
+    assert text.splitlines()[1:] == [",".join(repr(float(x)) for x in row) for row in values]
+    assert np.array_equal(parse_matrix(text).values, values)
 
 
 def test_pr_csv_roundtrip():
