@@ -16,7 +16,6 @@ independent check on the union-find sweep.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -25,7 +24,22 @@ from scipy.cluster.hierarchy import DisjointSet
 
 from .diagram import PersistenceDiagram
 
-Edge = tuple[int, int]
+
+def _index_rows(entries, width: int, what: str) -> np.ndarray:
+    """Triangle or edge indices as an (m, width) int64 array; a row with a
+    fractional or non-finite entry is a ValueError, never truncated."""
+    rows = np.asarray(entries)
+    if rows.size == 0:
+        rows = rows.reshape(0, width)
+    if rows.ndim != 2 or rows.shape[1] != width or rows.dtype.kind not in "biuf":
+        raise ValueError(f"{what}s must be an (m, {width}) index array")
+    with np.errstate(invalid="ignore"):
+        ints = rows.astype(np.int64)
+    exact = (ints == rows).all(axis=1)
+    if not exact.all():
+        bad = tuple(rows[int(np.argmin(exact))].tolist())
+        raise ValueError(f"{what} {bad} has an index that is not a 64-bit integer")
+    return ints
 
 
 @dataclass(frozen=True, eq=False)
@@ -37,15 +51,11 @@ class TriangleMesh:
 
     def __post_init__(self) -> None:
         verts = np.asarray(self.vertices, dtype=float)
-        tris = np.asarray(self.triangles, dtype=int)
         if verts.ndim != 2 or verts.shape[1] != 3 or verts.shape[0] < 1:
             raise ValueError("vertices must be an (n, 3) array with n >= 1")
         if not np.all(np.isfinite(verts)):
             raise ValueError("vertex coordinates must be finite")
-        if tris.size == 0:
-            tris = tris.reshape(0, 3)
-        if tris.ndim != 2 or tris.shape[1] != 3:
-            raise ValueError("triangles must be an (m, 3) index array")
+        tris = _index_rows(self.triangles, 3, "triangle")
         n = verts.shape[0]
         if tris.size:
             if tris.min() < 0 or tris.max() >= n:
@@ -57,7 +67,7 @@ class TriangleMesh:
             )
             if degenerate.any():
                 bad = int(np.argmax(degenerate))
-                raise ValueError(f"degenerate triangle {tuple(tris[bad])} repeats an index")
+                raise ValueError(f"degenerate triangle {tuple(tris[bad].tolist())} repeats an index")
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "triangles", tris)
 
@@ -87,6 +97,17 @@ class MeshFrame:
 # ------------------------------------------------------------------ OFF
 
 
+def _bulk_block(block: list[str], width: int, dtype) -> np.ndarray | None:
+    """Lines of exactly ``width`` fields as one array, converted in one pass;
+    None (per-line parsing takes over) on any other field count or bad field."""
+    if any(len(line.split()) != width for line in block):
+        return None
+    try:
+        return np.array(" ".join(block).split(), dtype=dtype).reshape(-1, width)
+    except (ValueError, OverflowError):
+        return None
+
+
 def parse_off(text: str) -> TriangleMesh:
     """Parse an ASCII OFF file with triangle faces.
 
@@ -95,11 +116,10 @@ def parse_off(text: str) -> TriangleMesh:
     then one line per face as ``3 i j k`` (trailing tokens, e.g. face
     colors, are ignored).  ``#`` starts a comment.
     """
-    lines = []
-    for raw in text.splitlines():
-        stripped = raw.split("#", 1)[0].strip()
-        if stripped:
-            lines.append(stripped)
+    raw_lines = text.splitlines()
+    if "#" in text:
+        raw_lines = [raw.split("#", 1)[0] for raw in raw_lines]
+    lines = [line for line in map(str.strip, raw_lines) if line]
     if not lines:
         raise ValueError("empty OFF file")
     pos = 0
@@ -123,16 +143,21 @@ def parse_off(text: str) -> TriangleMesh:
             f"truncated OFF file: expected {n_vertices + n_faces} body lines, "
             f"found {len(lines) - pos}"
         )
-    vertices = np.empty((n_vertices, 3), dtype=float)
-    for i in range(n_vertices):
-        fields = lines[pos + i].split()
-        if len(fields) < 3:
-            raise ValueError(f"vertex line {i} has {len(fields)} fields, need 3")
-        try:
-            vertices[i] = [float(fields[0]), float(fields[1]), float(fields[2])]
-        except ValueError:
-            raise ValueError(f"malformed vertex line {lines[pos + i]!r}") from None
+    vertices = _bulk_block(lines[pos : pos + n_vertices], 3, float)
+    if vertices is None:
+        vertices = np.empty((n_vertices, 3), dtype=float)
+        for i in range(n_vertices):
+            fields = lines[pos + i].split()
+            if len(fields) < 3:
+                raise ValueError(f"vertex line {i} has {len(fields)} fields, need 3")
+            try:
+                vertices[i] = [float(fields[0]), float(fields[1]), float(fields[2])]
+            except ValueError:
+                raise ValueError(f"malformed vertex line {lines[pos + i]!r}") from None
     pos += n_vertices
+    faces = _bulk_block(lines[pos : pos + n_faces], 4, np.int64)
+    if faces is not None and np.all(faces[:, 0] == 3):
+        return TriangleMesh(vertices, faces[:, 1:])
     triangles = np.empty((n_faces, 3), dtype=int)
     for i in range(n_faces):
         fields = lines[pos + i].split()
@@ -232,63 +257,68 @@ FILTERS = {"line": filter_line, "plane": filter_plane}
 # -------------------------------------------------- sublevel persistence
 
 
-def triangle_edges(mesh: TriangleMesh) -> tuple[Edge, ...]:
-    """Deduplicated, sorted edge list of the mesh's triangles."""
-    seen: set[Edge] = set()
-    for a, b, c in mesh.triangles:
-        for x, y in ((a, b), (b, c), (a, c)):
-            seen.add((int(min(x, y)), int(max(x, y))))
-    return tuple(sorted(seen))
+def triangle_edges(mesh: TriangleMesh) -> np.ndarray:
+    """Deduplicated edges of the mesh's triangles as an (E, 2) int64
+    array of rows (lo, hi), lo < hi, in lexicographic order."""
+    n = mesh.vertex_count
+    a = mesh.triangles[:, [0, 1, 0]].ravel()
+    b = mesh.triangles[:, [1, 2, 2]].ravel()
+    keys = np.unique(np.minimum(a, b) * n + np.maximum(a, b))
+    return np.column_stack(np.divmod(keys, n))
 
 
-def _check_graph(values, edges) -> list[float]:
-    f = [float(x) for x in values]
-    if not f:
-        raise ValueError("need at least one vertex value")
-    if not all(math.isfinite(x) for x in f):
+def _check_graph(values, edges) -> tuple[np.ndarray, np.ndarray]:
+    f = np.asarray(values, dtype=float)
+    if f.ndim != 1 or not f.size:
+        raise ValueError("need a flat sequence of at least one vertex value")
+    if not np.all(np.isfinite(f)):
         raise ValueError("vertex values must be finite")
+    e = _index_rows(edges, 2, "edge")
     n = len(f)
-    for a, b in edges:
+    bad = ((e < 0) | (e >= n)).any(axis=1) | (e[:, 0] == e[:, 1])
+    if bad.any():
+        a, b = e[int(np.argmax(bad))].tolist()
         if not (0 <= a < n and 0 <= b < n):
             raise ValueError(f"edge ({a}, {b}) is out of range for {n} vertices")
-        if a == b:
-            raise ValueError(f"self-loop at vertex {a}")
-    return f
+        raise ValueError(f"self-loop at vertex {a}")
+    return f, e
 
 
 def zero_persistence(values, edges) -> PersistenceDiagram:
     """Degree-0 sublevel persistence of vertex values on a graph.
 
     Vertices enter at their own value, an edge at the larger of its
-    endpoint values.  Sweeping edges upward, each union kills the
-    younger of the two components (larger birth; equal births broken
-    toward keeping the one whose lowest vertex has the smaller index)
-    and records (its birth, edge level) when that pair is off the
-    diagonal.  Components alive at the end are tallied in
-    ``essential_count``, one per connected component.
+    endpoint values.  Sweeping edges upward (stable argsort of levels)
+    through a union-find with path halving, each union kills the younger
+    of the two components (larger birth) and records (its birth, edge
+    level) when that pair is off the diagonal.  Neither the order of
+    equal-level edges nor the survivor of equal births changes a pair.
+    Components alive at the end are tallied in ``essential_count``,
+    one per connected component.
     """
-    f = _check_graph(values, edges)
-    order = sorted(
-        ((max(f[a], f[b]), a, b) for a, b in edges),
-        key=lambda t: t[0],
-    )
-    ds = DisjointSet(range(len(f)))
-    # root -> (birth value, index of its lowest vertex); min-of-keys on merge
-    birth: dict[int, tuple[float, int]] = {
-        i: (x, i) for i, x in enumerate(f)
-    }
+    f, e = _check_graph(values, edges)
+    levels = np.maximum(f[e[:, 0]], f[e[:, 1]])
+    order = np.argsort(levels, kind="stable")
+    heads, tails = e[order].T.tolist()
+    parent = list(range(len(f)))
+    birth = f.tolist()  # a component's birth, kept at its root
     points: list[tuple[float, float]] = []
-    for level, a, b in order:
-        ra, rb = ds[a], ds[b]
-        if ra == rb:
+    for level, a, b in zip(levels[order].tolist(), heads, tails):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        while parent[b] != b:
+            parent[b] = parent[parent[b]]
+            b = parent[b]
+        if a == b:
             continue
-        ka, kb = birth[ra], birth[rb]
-        elder, younger = (ka, kb) if ka <= kb else (kb, ka)
-        if younger[0] < level:
-            points.append((younger[0], level))
-        ds.merge(a, b)
-        birth[ds[a]] = elder
-    return PersistenceDiagram.from_pairs(points, essential_count=ds.n_subsets)
+        if birth[b] < birth[a]:
+            a, b = b, a
+        if birth[b] < level:
+            points.append((birth[b], level))
+        parent[b] = a
+    roots = sum(i == p for i, p in enumerate(parent))
+    return PersistenceDiagram.from_pairs(points, essential_count=roots)
 
 
 def mesh_zero_persistence(mesh: TriangleMesh, values) -> PersistenceDiagram:
@@ -298,7 +328,7 @@ def mesh_zero_persistence(mesh: TriangleMesh, values) -> PersistenceDiagram:
         raise ValueError(
             f"expected {mesh.vertex_count} vertex values, got shape {f.shape}"
         )
-    return zero_persistence(f.tolist(), triangle_edges(mesh))
+    return zero_persistence(f, triangle_edges(mesh))
 
 
 def _sublevel_components(f, edges, level) -> tuple[DisjointSet, list[int]]:
@@ -321,7 +351,7 @@ def beta0(values, edges, u: float, v: float) -> int:
     """
     if u > v:
         raise ValueError(f"need u <= v, got u={u}, v={v}")
-    f = _check_graph(values, edges)
+    f, edges = (x.tolist() for x in _check_graph(values, edges))
     ds_u, alive_u = _sublevel_components(f, edges, u)
     if not alive_u:
         return 0
@@ -341,7 +371,7 @@ def multiplicity0(values, edges, u: float, v: float, eps: float | None = None) -
     """
     if not u < v:
         raise ValueError(f"(u, v) must satisfy u < v, got ({u}, {v})")
-    f = _check_graph(values, edges)
+    f = _check_graph(values, edges)[0].tolist()
     levels = sorted(set(f))
     gaps = [b - a for a, b in zip(levels, levels[1:])]
     min_gap = min(gaps) if gaps else None

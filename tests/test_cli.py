@@ -279,3 +279,21 @@ def test_pr_rejects_singleton_class_without_partial_file(tmp_path):
     labels.write_text(serialize_labels({"x": "a", "y": "a", "z": "b"}))
     assert run("pr", "--matrix", str(mat), "--labels", str(labels), "--out", str(out)) == 1
     assert not out.exists()
+
+
+def test_malformed_off_is_one_error_line(tmp_path, capsys):
+    out = tmp_path / "diagram.csv"
+    bodies = {
+        "ragged.off": "OFF\n2 0 0\n0 0\n0 0 0 0\n",
+        "number.off": "OFF\n3 1 0\n0 0 0\n1 0 0\n0 1.5.0 0\n3 0 1 2\n",
+        "index.off": "OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 99999999999999999999\n",
+    }
+    for name, text in bodies.items():
+        mesh = tmp_path / name
+        mesh.write_text(text)
+        capsys.readouterr()
+        assert run("diagram", "--mesh", str(mesh), "--filter", "line", "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1, name
+        assert not out.exists(), name
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(bodies)

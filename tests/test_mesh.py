@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from persvec.diagram import PersistenceDiagram
 from persvec.mesh import (
@@ -62,6 +64,20 @@ def test_mesh_validation():
         TriangleMesh(np.array([[0, 0, np.inf]]), np.zeros((0, 3), dtype=int))
 
 
+def test_mesh_rejects_non_integer_indices():
+    with pytest.raises(ValueError, match="integer"):
+        TriangleMesh(np.eye(3), [[0.7, 1, 2]])
+    for bad in (np.nan, np.inf, 1e300):
+        with pytest.raises(ValueError, match="integer"):
+            TriangleMesh(np.eye(3), np.array([[0, 1, bad]]))
+    with pytest.raises(ValueError, match="index array"):
+        TriangleMesh(np.eye(3), [["0", "1", "2"]])
+    # integral floats are indices, not truncations
+    mesh = TriangleMesh(np.eye(3), [[0.0, 1.0, 2.0]])
+    assert mesh.triangles.dtype == np.int64
+    assert mesh.triangles.tolist() == [[0, 1, 2]]
+
+
 def test_frame_validation():
     MeshFrame(np.zeros(3), np.array([0, 0, 1.0]))
     with pytest.raises(ValueError, match="unit"):
@@ -91,6 +107,153 @@ def test_parse_off_comments_and_colors():
     )
     mesh = parse_off(text)
     assert mesh.triangles.tolist() == [[0, 1, 2]]
+
+
+def per_line_parse_off(text):
+    """The per-line OFF parser as first written, kept as the reference."""
+    lines = []
+    for raw in text.splitlines():
+        stripped = raw.split("#", 1)[0].strip()
+        if stripped:
+            lines.append(stripped)
+    if not lines:
+        raise ValueError("empty OFF file")
+    pos = 0
+    if lines[pos] != "OFF":
+        raise ValueError(f"expected OFF header, got {lines[pos]!r}")
+    pos += 1
+    if pos >= len(lines):
+        raise ValueError("truncated OFF file: missing counts line")
+    counts = lines[pos].split()
+    pos += 1
+    if len(counts) < 2:
+        raise ValueError(f"counts line needs at least 2 numbers, got {lines[pos - 1]!r}")
+    try:
+        n_vertices, n_faces = int(counts[0]), int(counts[1])
+    except ValueError:
+        raise ValueError(f"malformed counts line {lines[pos - 1]!r}") from None
+    if n_vertices < 1 or n_faces < 0:
+        raise ValueError(f"bad counts: {n_vertices} vertices, {n_faces} faces")
+    if len(lines) - pos < n_vertices + n_faces:
+        raise ValueError(
+            f"truncated OFF file: expected {n_vertices + n_faces} body lines, "
+            f"found {len(lines) - pos}"
+        )
+    vertices = np.empty((n_vertices, 3), dtype=float)
+    for i in range(n_vertices):
+        fields = lines[pos + i].split()
+        if len(fields) < 3:
+            raise ValueError(f"vertex line {i} has {len(fields)} fields, need 3")
+        try:
+            vertices[i] = [float(fields[0]), float(fields[1]), float(fields[2])]
+        except ValueError:
+            raise ValueError(f"malformed vertex line {lines[pos + i]!r}") from None
+    pos += n_vertices
+    triangles = np.empty((n_faces, 3), dtype=int)
+    for i in range(n_faces):
+        fields = lines[pos + i].split()
+        try:
+            k = int(fields[0])
+        except (ValueError, IndexError):
+            raise ValueError(f"malformed face line {lines[pos + i]!r}") from None
+        if k != 3:
+            raise ValueError(f"face {i} has {k} vertices, only triangles are supported")
+        if len(fields) < 4:
+            raise ValueError(f"face line {i} is missing indices")
+        try:
+            triangles[i] = [int(fields[1]), int(fields[2]), int(fields[3])]
+        except ValueError:
+            raise ValueError(f"malformed face line {lines[pos + i]!r}") from None
+    return TriangleMesh(vertices, triangles)
+
+
+def fuzzed_off(rng):
+    """A small OFF text; about half carry one defect or oddity."""
+    n = rng.randint(3, 7)
+    m = rng.randint(0, 6)
+    seps = [" ", "  ", "\t", " \t "]
+
+    def join(tokens):
+        out = tokens[0]
+        for t in tokens[1:]:
+            out += rng.choice(seps) + t
+        return out
+
+    verts = [[f"{rng.uniform(-9, 9):.{rng.randint(0, 6)}f}" for _ in range(3)] for _ in range(n)]
+    faces = [["3"] + [str(i) for i in rng.sample(range(n), 3)] for _ in range(m)]
+    defect = rng.randrange(16)
+    if defect == 0:  # colour tokens on a vertex line
+        rng.choice(verts).extend(["0.5", "0.25", "1"])
+    elif defect == 1 and m:  # colour tokens on a face line
+        rng.choice(faces).extend(["255", "0", "0"])
+    elif defect == 2 and n >= 2:  # ragged vertex lines, token total unchanged
+        i = rng.randrange(n - 1)
+        verts[i], verts[i + 1] = verts[i][:2], verts[i + 1] + verts[i][2:]
+    elif defect == 3 and m >= 2:  # ragged face lines, token total unchanged
+        i = rng.randrange(m - 1)
+        faces[i], faces[i + 1] = faces[i][:3], faces[i + 1] + faces[i][3:]
+    elif defect == 4:  # malformed coordinate
+        rng.choice(verts)[rng.randrange(3)] = rng.choice(["1.2.3", "abc", "1e", "--1", "0x1"])
+    elif defect == 5 and m:  # malformed index
+        rng.choice(faces)[rng.randrange(1, 4)] = rng.choice(["1.0", "x", "1e1", "0x1"])
+    elif defect == 6:  # underscores are valid Python numerals
+        rng.choice(verts)[0] = "1_0.5"
+        if m:
+            faces[0][1] = "0_0"
+    elif defect == 7 and m:  # index overflowing int64
+        rng.choice(faces)[rng.randrange(1, 4)] = "99999999999999999999"
+    elif defect == 8 and m:  # not a triangle
+        rng.choice(faces)[0] = rng.choice(["4", "2", "03", "+3"])
+    elif defect == 9 and m:  # index out of range, negative or repeated
+        face = rng.choice(faces)
+        face[1:] = rng.choice([[str(n), "0", "1"], ["-1", "0", "1"], ["0", "0", "1"]])
+    elif defect == 10:  # short vertex line
+        rng.choice(verts).pop()
+    elif defect == 11:  # non-finite coordinate
+        rng.choice(verts)[1] = rng.choice(["nan", "inf", "-Infinity"])
+    body = [join(v) for v in verts] + [join(f) for f in faces]
+    if defect == 12:  # surplus body lines are ignored
+        body.append("1 2 3")
+    elif defect == 13:  # one body line too few
+        body.pop()
+    lines = ["OFF", f"{n} {m} 0"]
+    for line in body:
+        if rng.random() < 0.15:
+            lines.append(rng.choice(["", "   ", "# note", "\t# 1 2 3"]))
+        if rng.random() < 0.15:
+            line += rng.choice([" # trailing", "#", "\t"])
+        lines.append(rng.choice(["", " ", "\t"]) + line)
+    if defect == 14:
+        lines.insert(0, "# leading comment")
+    return "\n".join(lines) + rng.choice(["", "\n", "\n\n"])
+
+
+def parse_outcome(parser, text):
+    try:
+        mesh = parser(text)
+    except (ValueError, OverflowError) as exc:
+        return ("error", type(exc).__name__, str(exc))
+    return ("ok", mesh.vertices.dtype, mesh.vertices.tobytes(), mesh.triangles.shape,
+            mesh.triangles.dtype, mesh.triangles.tobytes())
+
+
+def test_parse_off_matches_per_line_parser():
+    rng = random.Random(6060)
+    kinds = {"ok": 0, "error": 0}
+    for _ in range(600):
+        text = fuzzed_off(rng)
+        want = parse_outcome(per_line_parse_off, text)
+        assert parse_outcome(parse_off, text) == want, text
+        kinds[want[0]] += 1
+    assert kinds["ok"] > 200 and kinds["error"] > 200, kinds
+
+
+def test_parse_off_ragged_lines_are_not_reflowed():
+    # token totals match a 2-vertex mesh, but the first line is short
+    with pytest.raises(ValueError, match="vertex line 0 has 2 fields"):
+        parse_off("OFF\n2 0 0\n0 0\n0 0 0 0\n")
+    with pytest.raises(ValueError, match="missing indices"):
+        parse_off("OFF\n3 2 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1\n2 3 0 1 2\n")
 
 
 def test_parse_off_errors():
@@ -308,6 +471,29 @@ def test_zero_persistence_validation():
         zero_persistence([0, math.inf], [(0, 1)])
 
 
+def test_zero_persistence_rejects_non_integer_edges():
+    with pytest.raises(ValueError, match="integer"):
+        zero_persistence([0, 1, 2], [(0.5, 1)])
+    with pytest.raises(ValueError, match="integer"):
+        zero_persistence([0, 1, 2], np.array([[0, 1], [1, 2.5]]))
+    with pytest.raises(ValueError, match="index array"):
+        zero_persistence([0, 1, 2], [(0, 1, 2)])
+    assert zero_persistence([0, 2, 1], [(0.0, 1.0), (1.0, 2.0)]) == zero_persistence(
+        [0, 2, 1], [(0, 1), (1, 2)]
+    )
+
+
+def test_zero_persistence_names_first_bad_edge():
+    with pytest.raises(ValueError, match=r"^self-loop at vertex 1$"):
+        zero_persistence([0, 1, 2], [(0, 1), (1, 1), (0, 5)])
+    with pytest.raises(ValueError, match=r"^edge \(0, 5\) is out of range for 3 vertices$"):
+        zero_persistence([0, 1, 2], np.array([(0, 1), (0, 5), (1, 1)]))
+    with pytest.raises(ValueError, match=r"^edge \(-1, 1\) is out of range"):
+        zero_persistence([0, 1, 2], [(-1, 1)])
+    with pytest.raises(ValueError, match=r"^edge \(5, 5\) is out of range"):
+        zero_persistence([0, 1, 2], [(5, 5)])
+
+
 def test_mesh_zero_persistence_single_triangle():
     mesh = TriangleMesh(np.eye(3), np.array([[0, 1, 2]]))
     diag = mesh_zero_persistence(mesh, [0, 1, 2])
@@ -409,3 +595,47 @@ def test_sum_rule_births_are_conserved():
         )
         diag = zero_persistence(values, edges)
         assert diag.total_multiplicity() + diag.essential_count == minima
+
+
+@st.composite
+def tied_graphs(draw):
+    """Grid-valued vertex functions (at most five levels, so values repeat)
+    on a random graph or on the edge graph of a small random mesh; isolated
+    vertices and disconnected parts come up on their own."""
+    n = draw(st.integers(1, 9))
+    values = draw(st.lists(st.integers(0, 4).map(lambda k: k / 2), min_size=n, max_size=n))
+    if n >= 3 and draw(st.booleans()):
+        tris = draw(st.lists(st.permutations(range(n)).map(lambda p: p[:3]), max_size=2 * n))
+        edges = [tuple(e) for e in triangle_edges(TriangleMesh(np.zeros((n, 3)), tris)).tolist()]
+    else:
+        pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+        edges = draw(st.lists(pair, max_size=2 * n)) if n >= 2 else []
+    if draw(st.booleans()):
+        edges = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    return values, edges
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(tied_graphs())
+def test_sweep_agrees_with_rank_oracle_under_ties(graph):
+    values, edges = graph
+    diag = zero_persistence(values, edges)
+    stored = {(p.birth, p.death): p.multiplicity for p in diag}
+    levels = sorted(set(values))
+    assert set(stored) <= {(u, v) for u in levels for v in levels if u < v}
+    for i, u in enumerate(levels):
+        for v in levels[i + 1 :]:
+            assert multiplicity0(values, edges, u, v) == stored.get((u, v), 0)
+    top = levels[-1]
+    assert diag.essential_count == beta0(values, edges, top, top)
+
+
+def test_triangle_edges_is_sorted_int64_array():
+    rng = random.Random(606)
+    for _ in range(30):
+        n = rng.randint(3, 40)
+        tris = [rng.sample(range(n), 3) for _ in range(rng.randint(0, 3 * n))]
+        edges = triangle_edges(TriangleMesh(np.zeros((n, 3)), tris))
+        want = sorted({(min(x, y), max(x, y)) for a, b, c in tris for x, y in ((a, b), (b, c), (a, c))})
+        assert edges.dtype == np.int64 and edges.shape == (len(want), 2)
+        assert [tuple(e) for e in edges.tolist()] == want
