@@ -1,9 +1,13 @@
 """Persistence diagrams: representation, validation, and CSV round-trip.
 
 A diagram is a finite multiset of proper points (birth, death) with
-birth < death, each carrying a positive integer multiplicity.  Points
-whose class never dies are not stored; parsing records how many such
-rows were dropped in ``essential_count``.
+birth < death, each carrying a positive integer multiplicity.  It is
+stored as read-only columns ``births``, ``deaths`` (float64) and
+``multiplicities`` (int64), one entry per distinct point in (birth,
+death) order.  Points whose class never dies are not stored; parsing
+counts them in ``essential_count``.  Every way of building a diagram or
+a :class:`PersistencePoint` checks points in one function,
+:func:`_point_columns`.
 
 File format: CSV rows ``birth,death,multiplicity`` (multiplicity
 optional, default 1), ``#`` comment lines allowed, UTF-8, LF endings.
@@ -16,6 +20,71 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
+import numpy as np
+
+_LIMIT = 2**63  # multiplicities are stored as int64
+
+
+class _InvalidPoint(ValueError):
+    """Raised as ``_InvalidPoint(message, index)``, index being the input position."""
+
+    def __str__(self) -> str:
+        return self.args[0]
+
+
+def _exact_multiplicity(x) -> int:
+    """``x`` as an int if it is an integer (or integral float) from 1 to 2**63 - 1, else 0."""
+    if isinstance(x, np.generic):
+        x = x.item()
+    if isinstance(x, (int, float)) and 1 <= x < _LIMIT and x == int(x):
+        return int(x)
+    return 0
+
+
+def _point_columns(births, deaths, multiplicities=None):
+    """Check the point invariant; return the columns as float64, float64, int64.
+
+    Every point needs finite coordinates, birth < death, and an integral
+    multiplicity (integral floats included) from 1 to 2**63 - 1; without
+    multiplicities each point counts once.  The first point that breaks
+    this raises :class:`_InvalidPoint`.
+    """
+    b, d = np.asarray(births, dtype=float), np.asarray(deaths, dtype=float)
+    given = np.ones(b.shape, np.int64) if multiplicities is None else multiplicities
+    m = np.asarray(given)
+    if not (b.ndim == 1 and b.shape == d.shape == m.shape):
+        raise ValueError("births, deaths and multiplicities must be 1-D and of equal length")
+    if m.dtype != np.int64:  # floats, ints beyond 64 bits, ...: exactly, one by one
+        m = np.array([_exact_multiplicity(x) for x in given], dtype=np.int64)
+    ok = np.isfinite(b) & np.isfinite(d) & (b < d) & (m >= 1)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        raise _InvalidPoint(
+            f"point ({b[i]}, {d[i]}) with multiplicity {given[i]} needs finite coordinates, "
+            "birth < death and an integer multiplicity from 1 to 2**63 - 1",
+            i,
+        )
+    return b, d, m
+
+
+def _merged(b: np.ndarray, d: np.ndarray, m: np.ndarray):
+    """Sort points by (birth, death), summing the multiplicities of coincident ones.
+
+    The sort is stable and -0.0 == 0.0, so each merged point keeps the
+    coordinates of its first input point, as a dict keyed by the pair would.
+    """
+    order = np.lexsort((d, b))
+    b, d, m = b[order], d[order], m[order]
+    first = np.ones(len(b), dtype=bool)
+    first[1:] = (b[1:] != b[:-1]) | (d[1:] != d[:-1])
+    starts = np.flatnonzero(first)
+    if len(starts) == len(b):
+        return b, d, m
+    if int(m.max()) > (_LIMIT - 1) // len(m):  # int64 sums could wrap: add exactly
+        if max(np.add.reduceat(m.astype(object), starts)) >= _LIMIT:
+            raise ValueError("a merged multiplicity does not fit a 64-bit integer")
+    return b[starts], d[starts], np.add.reduceat(m, starts)
+
 
 @dataclass(frozen=True, order=True)
 class PersistencePoint:
@@ -26,44 +95,39 @@ class PersistencePoint:
     multiplicity: int = 1
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.birth) and math.isfinite(self.death)):
-            raise ValueError(f"non-finite point ({self.birth}, {self.death})")
-        if not self.birth < self.death:
-            raise ValueError(
-                f"point ({self.birth}, {self.death}) is not strictly above the diagonal"
-            )
-        if not isinstance(self.multiplicity, int) or self.multiplicity < 1:
-            raise ValueError(f"multiplicity must be a positive integer, got {self.multiplicity}")
+        columns = _point_columns([self.birth], [self.death], [self.multiplicity])
+        for name, column in zip(("birth", "death", "multiplicity"), columns):
+            object.__setattr__(self, name, column.item())
 
     @property
     def persistence(self) -> float:
         return self.death - self.birth
 
 
-@dataclass(frozen=True)
 class PersistenceDiagram:
-    """Immutable multiset of proper points.
+    """Immutable multiset of proper points, stored as read-only columns.
 
-    Coincident (birth, death) pairs are merged on construction by summing
+    Build one from columns, ``PersistenceDiagram(births, deaths,
+    multiplicities=None, essential_count=0)`` (multiplicities default to
+    1), from tuples with :meth:`from_pairs`, or from CSV with
+    :func:`parse_diagram`.  Coincident input points are merged on construction by summing
     multiplicities, so no two stored points share coordinates.  Equality
-    of coordinates is exact floating equality: inputs at different float
-    values stay distinct, no tolerance is involved.
+    of coordinates is exact floating equality (-0.0 equals 0.0): inputs
+    at different float values stay distinct, no tolerance is involved.
     """
 
-    points: tuple[PersistencePoint, ...] = ()
-    essential_count: int = 0
+    __slots__ = ("births", "deaths", "multiplicities", "essential_count")
 
-    def __post_init__(self) -> None:
-        if self.essential_count < 0:
+    def __init__(
+        self, births=(), deaths=(), multiplicities=None, essential_count: int = 0
+    ) -> None:
+        if essential_count < 0:
             raise ValueError("essential_count must be non-negative")
-        merged: dict[tuple[float, float], int] = {}
-        for p in self.points:
-            key = (p.birth, p.death)
-            merged[key] = merged.get(key, 0) + p.multiplicity
-        pts = tuple(
-            PersistencePoint(b, d, m) for (b, d), m in sorted(merged.items())
-        )
-        object.__setattr__(self, "points", pts)
+        columns = _merged(*_point_columns(births, deaths, multiplicities))
+        for name, column in zip(self.__slots__, columns):
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+        object.__setattr__(self, "essential_count", essential_count)
 
     @classmethod
     def from_pairs(
@@ -72,72 +136,96 @@ class PersistenceDiagram:
         essential_count: int = 0,
     ) -> "PersistenceDiagram":
         """Build from (birth, death) or (birth, death, multiplicity) tuples."""
-        pts = []
-        for pair in pairs:
-            if len(pair) == 2:
-                b, d = pair
-                pts.append(PersistencePoint(float(b), float(d)))
-            else:
-                b, d, m = pair
-                pts.append(PersistencePoint(float(b), float(d), int(m)))
-        return cls(tuple(pts), essential_count)
+        rows = [pair if len(pair) == 3 else (*pair, 1) for pair in pairs]
+        births, deaths, mults = list(zip(*rows, strict=True)) or ((), (), ())
+        return cls(births, deaths, mults, essential_count)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError("PersistenceDiagram is immutable")
+
+    def _rows(self) -> list[tuple[float, float, int]]:
+        return list(zip(self.births.tolist(), self.deaths.tolist(), self.multiplicities.tolist()))
+
+    @property
+    def points(self) -> tuple[PersistencePoint, ...]:
+        """The points as objects, in (birth, death) order."""
+        return tuple(PersistencePoint(*row) for row in self._rows())
 
     def total_multiplicity(self) -> int:
-        """Number of proper points counted with multiplicity."""
-        return sum(p.multiplicity for p in self.points)
+        """Number of proper points counted with multiplicity, as an exact int."""
+        return sum(self.multiplicities.tolist())
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.births)
 
     def __iter__(self) -> Iterator[PersistencePoint]:
         return iter(self.points)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PersistenceDiagram):
+            return NotImplemented
+        return (self._rows(), self.essential_count) == (other._rows(), other.essential_count)
+
+    def __hash__(self) -> int:
+        return hash((tuple(self._rows()), self.essential_count))
+
+    def __reduce__(self):
+        return type(self), (self.births, self.deaths, self.multiplicities, self.essential_count)
+
+    def __repr__(self) -> str:
+        return f"PersistenceDiagram.from_pairs({self._rows()!r}, {self.essential_count!r})"
 
 
 def parse_diagram(text: str) -> PersistenceDiagram:
     """Parse diagram CSV.
 
     Rows with an ``inf`` death are counted into ``essential_count`` and
-    dropped; rows with equal (birth, death) are merged by summing
-    multiplicities.  Raises ValueError on malformed rows, diagonal or
-    below-diagonal points, non-positive multiplicities, and any other
-    non-finite value.
+    dropped; the other rows are points, validated and merged by the
+    :class:`PersistenceDiagram` constructor.  Raises ValueError naming the
+    first bad line: a malformed row, an invalid point, or an essential row
+    with a non-finite birth or a multiplicity below 1.
     """
-    points: list[PersistencePoint] = []
+    births: list[float] = []
+    deaths: list[float] = []
+    mults: list[int] = []
+    linenos: list[int] = []
     essential = 0
+
+    def build() -> PersistenceDiagram:
+        try:
+            return PersistenceDiagram(births, deaths, mults, essential)
+        except _InvalidPoint as exc:
+            raise ValueError(f"line {linenos[exc.args[1]]}: {exc}") from None
+
+    def bad_line(lineno: int, message: str) -> ValueError:
+        build()  # an invalid point on an earlier line is reported first
+        return ValueError(f"line {lineno}: {message}")
+
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        fields = [f.strip() for f in line.split(",")]
+        fields = line.split(",")
         if len(fields) not in (2, 3):
-            raise ValueError(f"line {lineno}: expected 2 or 3 fields, got {len(fields)}")
+            raise bad_line(lineno, f"expected 2 or 3 fields, got {len(fields)}")
         try:
-            birth = float(fields[0])
-            death = float(fields[1])
+            birth, death = float(fields[0]), float(fields[1])
         except ValueError:
-            raise ValueError(f"line {lineno}: malformed number in {line!r}") from None
-        if len(fields) == 3:
-            try:
-                mult = int(fields[2])
-            except ValueError:
-                raise ValueError(f"line {lineno}: malformed multiplicity {fields[2]!r}") from None
-        else:
-            mult = 1
-        if mult < 1:
-            raise ValueError(f"line {lineno}: multiplicity must be >= 1, got {mult}")
-        if math.isinf(death) and death > 0:
-            if not math.isfinite(birth):
-                raise ValueError(f"line {lineno}: non-finite birth {birth}")
+            raise bad_line(lineno, f"malformed number in {line!r}") from None
+        try:
+            mult = int(fields[2]) if len(fields) == 3 else 1
+        except ValueError:
+            raise bad_line(lineno, f"malformed multiplicity {fields[2].strip()!r}") from None
+        if death == math.inf:
+            if not (math.isfinite(birth) and mult >= 1):
+                raise bad_line(lineno, "an essential row needs a finite birth and multiplicity >= 1")
             essential += mult
-            continue
-        if not (math.isfinite(birth) and math.isfinite(death)):
-            raise ValueError(f"line {lineno}: non-finite point ({birth}, {death})")
-        if not birth < death:
-            raise ValueError(
-                f"line {lineno}: point ({birth}, {death}) not strictly above the diagonal"
-            )
-        points.append(PersistencePoint(birth, death, mult))
-    return PersistenceDiagram(tuple(points), essential)
+        else:
+            births.append(birth)
+            deaths.append(death)
+            mults.append(mult)
+            linenos.append(lineno)
+    return build()
 
 
 def serialize_diagram(diagram: PersistenceDiagram) -> str:
@@ -146,9 +234,7 @@ def serialize_diagram(diagram: PersistenceDiagram) -> str:
     Uses shortest round-trip float formatting, so
     ``parse_diagram(serialize_diagram(d)) == d`` exactly.
     """
-    lines = ["# birth,death,multiplicity"]
-    for p in diagram.points:
-        lines.append(f"{p.birth!r},{p.death!r},{p.multiplicity}")
+    lines = ["# birth,death,multiplicity"] + [f"{b!r},{d!r},{m}" for b, d, m in diagram._rows()]
     if diagram.essential_count:
         # Individual birth levels of never-dying classes are not retained,
         # only their count; 0 is written as a placeholder birth.

@@ -173,6 +173,8 @@ def parse_off(text: str) -> TriangleMesh:
             triangles[i] = [int(fields[1]), int(fields[2]), int(fields[3])]
         except ValueError:
             raise ValueError(f"malformed face line {lines[pos + i]!r}") from None
+        except OverflowError:
+            raise ValueError(f"face {i} has an index that is not a 64-bit integer") from None
     return TriangleMesh(vertices, triangles)
 
 
@@ -302,7 +304,8 @@ def zero_persistence(values, edges) -> PersistenceDiagram:
     heads, tails = e[order].T.tolist()
     parent = list(range(len(f)))
     birth = f.tolist()  # a component's birth, kept at its root
-    points: list[tuple[float, float]] = []
+    births: list[float] = []
+    deaths: list[float] = []
     for level, a, b in zip(levels[order].tolist(), heads, tails):
         while parent[a] != a:
             parent[a] = parent[parent[a]]
@@ -315,10 +318,11 @@ def zero_persistence(values, edges) -> PersistenceDiagram:
         if birth[b] < birth[a]:
             a, b = b, a
         if birth[b] < level:
-            points.append((birth[b], level))
+            births.append(birth[b])
+            deaths.append(level)
         parent[b] = a
     roots = sum(i == p for i, p in enumerate(parent))
-    return PersistenceDiagram.from_pairs(points, essential_count=roots)
+    return PersistenceDiagram(births, deaths, essential_count=roots)
 
 
 def mesh_zero_persistence(mesh: TriangleMesh, values) -> PersistenceDiagram:

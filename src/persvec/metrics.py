@@ -73,14 +73,6 @@ def point_distance(p: tuple[float, float], q: tuple[float, float]) -> float:
     return min(move, destroy)
 
 
-def _expanded_points(diagram: PersistenceDiagram) -> tuple[np.ndarray, np.ndarray]:
-    """Births and deaths as float arrays, each point repeated by its multiplicity."""
-    births = np.array([p.birth for p in diagram.points], dtype=float)
-    deaths = np.array([p.death for p in diagram.points], dtype=float)
-    mult = np.array([p.multiplicity for p in diagram.points], dtype=np.intp)
-    return np.repeat(births, mult), np.repeat(deaths, mult)
-
-
 def _cost_matrix(a: PersistenceDiagram, b: PersistenceDiagram) -> np.ndarray:
     """Square matching-cost matrix with diagonal stand-ins.
 
@@ -91,8 +83,8 @@ def _cost_matrix(a: PersistenceDiagram, b: PersistenceDiagram) -> np.ndarray:
     follow :func:`point_distance` operation for operation, so each holds
     the same float; the points were validated when they were built.
     """
-    ua, va = _expanded_points(a)
-    ub, vb = _expanded_points(b)
+    ua, va = np.repeat(a.births, a.multiplicities), np.repeat(a.deaths, a.multiplicities)
+    ub, vb = np.repeat(b.births, b.multiplicities), np.repeat(b.deaths, b.multiplicities)
     m, n = len(ua), len(ub)
     half_a = (va - ua) / 2.0
     half_b = (vb - ub) / 2.0

@@ -148,7 +148,5 @@ def transform_diagram(diagram, kind: str) -> ComplexRootList:
     diagram's total multiplicity.
     """
     fn = get_transform(kind)
-    roots = tuple(
-        ComplexRoot(fn(p.birth, p.death), p.multiplicity) for p in diagram
-    )
-    return ComplexRootList(roots)
+    columns = (diagram.births.tolist(), diagram.deaths.tolist(), diagram.multiplicities.tolist())
+    return ComplexRootList(tuple(ComplexRoot(fn(u, v), m) for u, v, m in zip(*columns)))

@@ -296,4 +296,6 @@ def test_malformed_off_is_one_error_line(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error:") and len(err.strip().splitlines()) == 1, name
         assert not out.exists(), name
+        if name == "index.off":
+            assert err.strip() == "error: face 0 has an index that is not a 64-bit integer"
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(bodies)
