@@ -8,9 +8,10 @@ of them, by default floor(sqrt(M)).
 Root lists of different sizes are compared by zero-padding the shorter
 one up to a common width M before taking coefficients.  Zeros leave
 every e_j unchanged (a product containing 0 is 0), so padding never
-alters the values, only the nominal degree.  The computation skips zero
-roots outright, which makes its cost depend on the number of nonzero
-roots rather than on the padded width.
+alters the values, only the nominal degree.  The padding zeros are
+therefore never built, and the computation skips zero roots outright,
+which makes its cost depend on the number of nonzero roots rather than
+on the padded width.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from .transforms import ComplexRoot, ComplexRootList, transform_diagram
+from .transforms import ComplexRootList, transform_diagram
 
 
 @dataclass(frozen=True)
@@ -66,16 +67,6 @@ def default_coefficient_count(width: int) -> int:
     return math.isqrt(width)
 
 
-def pad_roots(roots: ComplexRootList, width: int) -> ComplexRootList:
-    """Append the zero root at whatever multiplicity reaches ``width``."""
-    have = roots.width
-    if width < have:
-        raise ValueError(f"cannot pad width {have} down to {width}")
-    if width == have:
-        return roots
-    return ComplexRootList(roots.roots + (ComplexRoot(0j, width - have),))
-
-
 def elementary_symmetric(roots: Iterable[complex], count: int) -> tuple[complex, ...]:
     """Return (e_1, ..., e_count) of the given plain root values.
 
@@ -107,25 +98,18 @@ def elementary_symmetric(roots: Iterable[complex], count: int) -> tuple[complex,
     return tuple(coeffs[1:])
 
 
-def coefficient_vector(roots: ComplexRootList, count: int) -> CoefficientVector:
-    """Package the first ``count`` symmetric values of a root list.
-
-    ``count`` must lie in [1, width]; pad first if a larger width is
-    wanted.
-    """
-    if not 1 <= count <= roots.width:
-        raise ValueError(
-            f"count must be between 1 and the root width {roots.width}, got {count}"
-        )
-    values = elementary_symmetric(roots.expand(), count)
-    return CoefficientVector(values, roots.width)
-
-
 def embed_roots(roots: ComplexRootList, width: int, count: int | None = None) -> CoefficientVector:
-    """Coefficient vector of a root list zero-padded to ``width``."""
+    """Coefficient vector of a root list zero-padded to ``width``.
+
+    ``count`` defaults to floor(sqrt(width)) and must lie in [1, width].
+    """
+    if roots.width > width:
+        raise ValueError(f"cannot pad width {roots.width} down to {width}")
     if count is None:
         count = default_coefficient_count(width)
-    return coefficient_vector(pad_roots(roots, width), count)
+    if not 1 <= count <= width:
+        raise ValueError(f"count must be between 1 and the width {width}, got {count}")
+    return CoefficientVector(elementary_symmetric(roots.expand(), count), width)
 
 
 def embed_diagram(diagram, kind: str, width: int, count: int | None = None) -> CoefficientVector:

@@ -47,12 +47,35 @@ def coefficient_distance(a: CoefficientVector, b: CoefficientVector, kind: str) 
         terms = [g ** (1.0 / j) for j, g in enumerate(gaps, start=1)]
     else:
         raise ValueError(f"unknown metric {kind!r}, expected one of {COEFFICIENT_METRICS}")
-    # Plain left-to-right addition, as distance_matrix does: the builtin
+    # Plain left-to-right addition, as _coefficient_rows does: the builtin
     # sum() compensates float rounding from Python 3.12 on.
     total = 0.0
     for t in terms:
         total += t
     return total
+
+
+def _coefficient_rows(q: np.ndarray, rows: np.ndarray, kind: str) -> np.ndarray:
+    """``kind`` distances from the complex k-vector ``q`` to each row of an (n, k) array.
+
+    The numpy form of :func:`coefficient_distance`, which stays the
+    scalar reference: every value is the float it returns.  The gap is
+    ``np.hypot``, the libm call behind ``abs(complex)``; d3 takes
+    ``np.float_power``, the libm ``pow`` behind ``float ** float``
+    (``np.abs`` and ``np.power`` may take SIMD paths that differ in the
+    last bit); and the k terms are added left to right by a cumulative
+    sum.
+    """
+    if kind not in COEFFICIENT_METRICS:
+        raise ValueError(f"unknown metric {kind!r}, expected one of {COEFFICIENT_METRICS}")
+    diff = q - rows
+    terms = np.hypot(diff.real, diff.imag)
+    j = np.arange(1, rows.shape[1] + 1)
+    if kind == "d2":
+        terms /= j
+    elif kind == "d3":
+        terms = np.float_power(terms, 1.0 / j)
+    return np.cumsum(terms, axis=1)[:, -1]
 
 
 def point_distance(p: tuple[float, float], q: tuple[float, float]) -> float:

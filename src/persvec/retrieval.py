@@ -28,7 +28,8 @@ import numpy as np
 
 from .coefficients import CoefficientVector, default_coefficient_count, embed_diagram
 from .diagram import PersistenceDiagram
-from .metrics import COEFFICIENT_METRICS, bottleneck_distance, coefficient_distance
+from .metrics import COEFFICIENT_METRICS, _coefficient_rows, bottleneck_distance
+from .metrics import coefficient_distance  # noqa: F401 -- perfbench's tracer wraps it here
 from .transforms import TRANSFORMS
 
 INDEX_HEADER = "# coefficient-index v1"
@@ -57,7 +58,7 @@ class DatabaseEntry:
             _check_token(self.label, "label")
         for kind in self.vectors:
             if kind not in TRANSFORMS:
-                raise ValueError(f"unknown transform kind {kind!r} in vectors")
+                raise ValueError(f"unknown transform kind {kind!r}")
 
 
 @dataclass
@@ -68,12 +69,11 @@ class LabeledDatabase:
 
     def __post_init__(self) -> None:
         entries = tuple(self.entries)
-        seen: set[str] = set()
+        positions: dict[str, int] = {}
         shapes: dict[str, tuple[int, int]] = {}
-        for e in entries:
-            if e.model_id in seen:
+        for i, e in enumerate(entries):
+            if positions.setdefault(e.model_id, i) != i:
                 raise ValueError(f"duplicate model id {e.model_id!r}")
-            seen.add(e.model_id)
             for kind, vec in e.vectors.items():
                 shape = (vec.width, vec.count)
                 if shapes.setdefault(kind, shape) != shape:
@@ -81,7 +81,8 @@ class LabeledDatabase:
                         f"inconsistent {kind!r} embeddings: "
                         f"{shapes[kind]} vs {shape} (width, count)"
                     )
-        object.__setattr__(self, "entries", entries)
+        self.entries = entries
+        self._positions = positions
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -90,11 +91,15 @@ class LabeledDatabase:
     def ids(self) -> tuple[str, ...]:
         return tuple(e.model_id for e in self.entries)
 
+    def position(self, model_id: str) -> int:
+        """Index of the entry with this id."""
+        try:
+            return self._positions[model_id]
+        except KeyError:
+            raise ValueError(f"unknown model id {model_id!r}") from None
+
     def entry(self, model_id: str) -> DatabaseEntry:
-        for e in self.entries:
-            if e.model_id == model_id:
-                return e
-        raise ValueError(f"unknown model id {model_id!r}")
+        return self.entries[self.position(model_id)]
 
 
 @dataclass(eq=False)
@@ -155,24 +160,25 @@ def embed_database(
     The padding width is the largest diagram size in the database, so
     all vectors share one shape; ``count`` defaults to floor(sqrt(width)).
     """
-    if kind not in TRANSFORMS:
-        raise ValueError(f"unknown transform {kind!r}")
     if not db.entries:
         raise ValueError("cannot embed an empty database")
-    for e in db.entries:
-        if e.diagram is None:
-            raise ValueError(f"entry {e.model_id!r} has no diagram to embed")
-    width = max(e.diagram.total_multiplicity() for e in db.entries)
+    width = max(d.total_multiplicity() for d in _diagrams(db.entries, "to embed"))
     if width == 0:
         raise ValueError("every diagram in the database is empty; nothing to embed")
     if count is None:
         count = default_coefficient_count(width)
     entries = []
     for e in db.entries:
-        vectors = dict(e.vectors)
-        vectors[kind] = embed_diagram(e.diagram, kind, width, count)
+        vectors = {**e.vectors, kind: embed_diagram(e.diagram, kind, width, count)}
         entries.append(DatabaseEntry(e.model_id, e.label, e.diagram, vectors))
     return LabeledDatabase(tuple(entries))
+
+
+def _diagrams(entries, purpose: str) -> list[PersistenceDiagram]:
+    for e in entries:
+        if e.diagram is None:
+            raise ValueError(f"entry {e.model_id!r} has no diagram {purpose}")
+    return [e.diagram for e in entries]
 
 
 def database_labels(db: LabeledDatabase) -> dict[str, str]:
@@ -203,28 +209,27 @@ def _bottleneck_matrix(diagrams: list[PersistenceDiagram], threads: int) -> np.n
     return values
 
 
+def _stacked_vectors(db: LabeledDatabase, transform: str, count: int | None) -> np.ndarray:
+    """The entries' ``transform`` vectors, truncated to ``count``, as an (N, k) complex array."""
+    rows = []
+    for e in db.entries:
+        vec = e.vectors.get(transform)
+        if vec is None:
+            raise ValueError(f"entry {e.model_id!r} has no {transform!r} embedding")
+        rows.append((vec if count is None else vec.truncate(count)).coefficients)
+    return np.array(rows, dtype=complex)
+
+
 def _coefficient_matrix(coeffs: np.ndarray, kind: str) -> np.ndarray:
     """All-pairs ``kind`` distances between the rows of an (N, k) complex array.
 
-    Every cell is the float :func:`coefficient_distance` returns: the gap
-    is ``np.hypot``, the libm call behind ``abs(complex)``; d3 takes
-    ``np.float_power``, the libm ``pow`` behind ``float ** float``
-    (``np.abs`` and ``np.power`` may take SIMD paths that differ in the
-    last bit); and the k terms are added left to right by a cumulative
-    sum.  One row of the upper triangle is built at a time, so memory
-    stays O(N * k) beyond the result.
+    One row of the upper triangle is built at a time, so memory stays
+    O(N * k) beyond the result.
     """
-    n, k = coeffs.shape
-    j = np.arange(1, k + 1)
+    n = len(coeffs)
     values = np.zeros((n, n), dtype=float)
     for i in range(n - 1):
-        diff = coeffs[i] - coeffs[i + 1 :]
-        terms = np.hypot(diff.real, diff.imag)
-        if kind == "d2":
-            terms /= j
-        elif kind == "d3":
-            terms = np.float_power(terms, 1.0 / j)
-        row = np.cumsum(terms, axis=1)[:, -1]
+        row = _coefficient_rows(coeffs[i], coeffs[i + 1 :], kind)
         values[i, i + 1 :] = row
         values[i + 1 :, i] = row
     return values
@@ -256,30 +261,27 @@ def distance_matrix(
     if metric == "bottleneck":
         if transform is not None:
             raise ValueError("the bottleneck metric does not take a transform")
-        diagrams = []
-        for e in db.entries:
-            if e.diagram is None:
-                raise ValueError(f"entry {e.model_id!r} has no diagram")
-            diagrams.append(e.diagram)
-        values = _bottleneck_matrix(diagrams, threads)
+        values = _bottleneck_matrix(_diagrams(db.entries, "to compare"), threads)
     elif metric in COEFFICIENT_METRICS:
         if transform is None:
             raise ValueError(f"metric {metric!r} needs a transform kind")
-        rows = []
-        for e in db.entries:
-            vec = e.vectors.get(transform)
-            if vec is None:
-                raise ValueError(f"entry {e.model_id!r} has no {transform!r} embedding")
-            if count is not None:
-                vec = vec.truncate(count)
-            rows.append(vec.coefficients)
-        values = _coefficient_matrix(np.array(rows, dtype=complex), metric)
+        values = _coefficient_matrix(_stacked_vectors(db, transform, count), metric)
     else:
         raise ValueError(f"unknown metric {metric!r}")
     return DistanceMatrix(tuple(e.model_id for e in db.entries), values)
 
 
 # ------------------------------------------------------------------ PR
+
+
+def _id_rank(ids) -> np.ndarray:
+    """Each position's rank in ascending id order: the tie-break key of :func:`_ranked`."""
+    return np.argsort(sorted(range(len(ids)), key=ids.__getitem__))
+
+
+def _ranked(distances: np.ndarray, id_rank: np.ndarray) -> np.ndarray:
+    """Positions by ascending distance, ties broken by id: the one ranking rule."""
+    return np.lexsort((id_rank, distances))
 
 
 def pr_curve(matrix: DistanceMatrix, labels: Mapping[str, str]) -> PRTable:
@@ -290,11 +292,10 @@ def pr_curve(matrix: DistanceMatrix, labels: Mapping[str, str]) -> PRTable:
     and there must be at least two classes.
     """
     ids = matrix.ids
+    class_sizes: dict[str, int] = {}
     for mid in ids:
         if mid not in labels:
             raise ValueError(f"no class label for {mid!r}")
-    class_sizes: dict[str, int] = {}
-    for mid in ids:
         class_sizes[labels[mid]] = class_sizes.get(labels[mid], 0) + 1
     if len(class_sizes) < 2:
         raise ValueError("need at least two classes to evaluate retrieval")
@@ -304,16 +305,14 @@ def pr_curve(matrix: DistanceMatrix, labels: Mapping[str, str]) -> PRTable:
 
     grid = max(class_sizes.values()) - 1
     n = len(ids)
-    by_id = sorted(range(n), key=ids.__getitem__)
-    id_rank = np.empty(n, dtype=np.intp)
-    id_rank[by_id] = np.arange(n)
+    id_rank = _id_rank(ids)
     class_code = {cls: c for c, cls in enumerate(class_sizes)}
     codes = np.array([class_code[labels[mid]] for mid in ids])
     levels = np.arange(1, grid + 1)
     at_levels = np.empty((n, grid))
     for qi in range(n):
         # rank by (distance, id); the query itself sorts among the zeros
-        order = np.lexsort((id_rank, matrix.values[qi]))
+        order = _ranked(matrix.values[qi], id_rank)
         order = order[order != qi]
         relevant = class_sizes[labels[ids[qi]]] - 1
         hit_ranks = np.flatnonzero(codes[order] == codes[qi]) + 1
@@ -324,7 +323,7 @@ def pr_curve(matrix: DistanceMatrix, labels: Mapping[str, str]) -> PRTable:
         at_levels[qi] = precisions[-((-levels * relevant) // grid) - 1]
     # average in sorted-id order, adding strictly left to right, so
     # database order cannot even shift rounding
-    totals = np.cumsum(at_levels[by_id], axis=0)[-1]
+    totals = np.cumsum(at_levels[np.argsort(id_rank)], axis=0)[-1]
     rows = [((i + 1) / grid, total / n) for i, total in enumerate(totals.tolist())]
     return PRTable(tuple(rows))
 
@@ -350,33 +349,22 @@ def two_stage_query(
     """
     if kind not in COEFFICIENT_METRICS:
         raise ValueError(f"prefilter metric must be one of {COEFFICIENT_METRICS}")
-    query = db.entry(query_id)
-    others = [e for e in db.entries if e.model_id != query_id]
+    qi = db.position(query_id)
+    others = np.delete(np.arange(len(db)), qi)
     if not 1 <= candidates <= len(others):
         raise ValueError(
             f"candidates must be between 1 and {len(others)}, got {candidates}"
         )
-
-    def vector_of(e: DatabaseEntry) -> CoefficientVector:
-        vec = e.vectors.get(transform)
-        if vec is None:
-            raise ValueError(f"entry {e.model_id!r} has no {transform!r} embedding")
-        return vec.truncate(count) if count is not None else vec
-
-    qvec = vector_of(query)
-    others.sort(
-        key=lambda e: (coefficient_distance(qvec, vector_of(e), kind), e.model_id)
-    )
-    head, tail = others[:candidates], others[candidates:]
-    if query.diagram is None:
-        raise ValueError(f"entry {query_id!r} has no diagram for re-ranking")
-    for e in head:
-        if e.diagram is None:
-            raise ValueError(f"entry {e.model_id!r} has no diagram for re-ranking")
-    head.sort(
-        key=lambda e: (bottleneck_distance(query.diagram, e.diagram), e.model_id)
-    )
-    return [e.model_id for e in head] + [e.model_id for e in tail]
+    coeffs = _stacked_vectors(db, transform, count)
+    ids = db.ids
+    id_rank = _id_rank(ids)
+    prefilter = _coefficient_rows(coeffs[qi], coeffs[others], kind)
+    ranked = others[_ranked(prefilter, id_rank[others])]
+    head, tail = ranked[:candidates], ranked[candidates:]
+    query, *rivals = _diagrams([db.entries[i] for i in (qi, *head)], "for re-ranking")
+    exact = np.array([bottleneck_distance(query, d) for d in rivals])
+    head = head[_ranked(exact, id_rank[head])]
+    return [ids[i] for i in np.concatenate((head, tail))]
 
 
 # -------------------------------------------------------------- index file
@@ -409,67 +397,64 @@ def serialize_index(db: LabeledDatabase, kind: str | None = None) -> str:
             )
         kind = kinds.pop()
     lines = [INDEX_HEADER]
-    for e in db.entries:
-        vec = e.vectors.get(kind)
-        if vec is None:
-            raise ValueError(f"entry {e.model_id!r} has no {kind!r} embedding")
-        fields = [e.model_id, kind, str(vec.width), str(vec.count)]
-        for c in vec.coefficients:
-            fields.append(repr(c.real))
-            fields.append(repr(c.imag))
+    for e, row in zip(db.entries, _stacked_vectors(db, kind, None).tolist()):
+        fields = [e.model_id, kind, str(e.vectors[kind].width), str(len(row))]
+        fields += [repr(x) for c in row for x in (c.real, c.imag)]
         lines.append(",".join(fields))
     return "\n".join(lines) + "\n"
+
+
+def _index_row(line: str) -> tuple[tuple[str, int, int], DatabaseEntry]:
+    """One index row as its (kind, width, count) shape and entry; errors do not name the line."""
+    fields = [f.strip() for f in line.split(",")]
+    if len(fields) < 4:
+        raise ValueError("corrupt index row")
+    model_id, kind = fields[0], fields[1]
+    try:
+        width, cnt = int(fields[2]), int(fields[3])
+    except ValueError:
+        raise ValueError("malformed width/count") from None
+    if len(fields) != 4 + 2 * cnt:
+        raise ValueError(f"expected {2 * cnt} coefficient fields, got {len(fields) - 4}")
+    try:
+        parts = [float(f) for f in fields[4:]]
+    except ValueError:
+        raise ValueError("malformed coefficient") from None
+    coeffs = tuple(map(complex, parts[::2], parts[1::2]))
+    return (kind, width, cnt), DatabaseEntry(
+        model_id, "", None, {kind: CoefficientVector(coeffs, width)}
+    )
 
 
 def parse_index(text: str) -> LabeledDatabase:
     """Inverse of :func:`serialize_index`; labels and diagrams come back empty.
 
     All rows must agree on (kind, width, count); the leading version
-    line is checked so stale or foreign files fail loudly.
+    line is checked so stale or foreign files fail loudly.  Every error
+    in a row names its line.
     """
     lines = text.splitlines()
     if not lines or lines[0].strip() != INDEX_HEADER:
         raise ValueError(
             f"bad index header (expected {INDEX_HEADER!r}): wrong version or not an index"
         )
-    entries = []
+    entries: dict[str, DatabaseEntry] = {}
     shape: tuple[str, int, int] | None = None
     for lineno, raw in enumerate(lines[1:], start=2):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        fields = [f.strip() for f in line.split(",")]
-        if len(fields) < 4:
-            raise ValueError(f"line {lineno}: corrupt index row")
-        model_id, kind = fields[0], fields[1]
-        if kind not in TRANSFORMS:
-            raise ValueError(f"line {lineno}: unknown transform {kind!r}")
         try:
-            width, cnt = int(fields[2]), int(fields[3])
-        except ValueError:
-            raise ValueError(f"line {lineno}: malformed width/count") from None
-        if len(fields) != 4 + 2 * cnt:
-            raise ValueError(
-                f"line {lineno}: expected {2 * cnt} coefficient fields, "
-                f"got {len(fields) - 4}"
-            )
-        try:
-            coeffs = tuple(
-                complex(float(fields[4 + 2 * t]), float(fields[5 + 2 * t]))
-                for t in range(cnt)
-            )
-        except ValueError:
-            raise ValueError(f"line {lineno}: malformed coefficient") from None
-        if shape is None:
-            shape = (kind, width, cnt)
-        elif shape != (kind, width, cnt):
-            raise ValueError(
-                f"line {lineno}: mixed index shapes {shape} vs {(kind, width, cnt)}"
-            )
-        entries.append(
-            DatabaseEntry(model_id, "", None, {kind: CoefficientVector(coeffs, width)})
-        )
-    return LabeledDatabase(tuple(entries))
+            row_shape, entry = _index_row(line)
+            shape = shape or row_shape
+            if row_shape != shape:
+                raise ValueError(f"mixed index shapes {shape} vs {row_shape}")
+            if entry.model_id in entries:
+                raise ValueError(f"duplicate model id {entry.model_id!r}")
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
+        entries[entry.model_id] = entry
+    return LabeledDatabase(tuple(entries.values()))
 
 
 def save_index(db: LabeledDatabase, path, kind: str | None = None) -> None:

@@ -257,6 +257,16 @@ def test_empty_index_is_rejected(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_bad_index_row_is_one_error_line_naming_it(tmp_path, capsys):
+    index = tmp_path / "index.csv"
+    index.write_text("# coefficient-index v1\na,R,3,0\n")
+    out = tmp_path / "mat.csv"
+    capsys.readouterr()
+    assert run("dist", "--index", str(index), "--metric", "d1", "--out", str(out)) == 1
+    assert capsys.readouterr().err == "error: line 2: need between 1 and 3 coefficients, got 0\n"
+    assert not out.exists()
+
+
 def test_bad_mesh_leaves_no_output(tmp_path, capsys):
     mesh = tmp_path / "bad.off"
     mesh.write_text("OFF\n2 1 0\n0 0 0\n1 1 1\n4 0 1 0 1\n")

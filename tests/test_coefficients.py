@@ -7,12 +7,10 @@ import pytest
 
 from persvec.coefficients import (
     CoefficientVector,
-    coefficient_vector,
     default_coefficient_count,
     elementary_symmetric,
     embed_diagram,
     embed_roots,
-    pad_roots,
 )
 from persvec.diagram import PersistenceDiagram
 from persvec.transforms import ComplexRoot, ComplexRootList
@@ -104,25 +102,17 @@ def test_counts_beyond_support_are_zero():
     assert elementary_symmetric([], 2) == (0j, 0j)
 
 
-def test_pad_roots():
-    rl = rootlist(1, 2)
-    padded = pad_roots(rl, 4)
-    assert padded.width == 4
-    assert padded.roots == (ComplexRoot(0j, 2), ComplexRoot(1 + 0j), ComplexRoot(2 + 0j))
-    assert pad_roots(rl, 2) is rl  # already wide enough: unchanged
-    nothing = pad_roots(ComplexRootList(), 2)
-    assert nothing.roots == (ComplexRoot(0j, 2),)
-    with pytest.raises(ValueError):
-        pad_roots(rl, 1)
-
-
-def test_coefficient_vector_validates_count():
+def test_embed_roots_validates_width_and_count():
     rl = rootlist(1, 2, 3)
-    assert coefficient_vector(rl, 2).coefficients == (6 + 0j, 11 + 0j)
-    with pytest.raises(ValueError):
-        coefficient_vector(rl, 0)
-    with pytest.raises(ValueError):
-        coefficient_vector(rl, 4)
+    assert embed_roots(rl, 3, 2).coefficients == (6 + 0j, 11 + 0j)
+    assert embed_roots(rl, 5, 5).coefficients == (6 + 0j, 11 + 0j, 6 + 0j, 0j, 0j)
+    assert embed_roots(ComplexRootList(), 2, 2).coefficients == (0j, 0j)
+    with pytest.raises(ValueError, match="cannot pad"):
+        embed_roots(rl, 2, 1)
+    with pytest.raises(ValueError, match="count"):
+        embed_roots(rl, 3, 0)
+    with pytest.raises(ValueError, match="count"):
+        embed_roots(rl, 3, 4)
 
 
 def test_default_count_is_floor_sqrt():

@@ -259,6 +259,20 @@ def test_serialize_parse_round_trip(case):
     assert serialize_diagram(again) == text
 
 
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(tie_heavy_rows())
+def test_points_equal_validated_construction(case):
+    rows, essential = case
+    d = PersistenceDiagram.from_pairs(rows, essential)
+    points = d.points
+    want = tuple(PersistencePoint(*row) for row in d._rows())
+    assert points == want
+    assert [hash(p) for p in points] == [hash(p) for p in want]
+    for p, w in zip(points, want):
+        assert (repr(p.birth), repr(p.death)) == (repr(w.birth), repr(w.death))
+        assert type(p.multiplicity) is int and type(p.birth) is float
+
+
 def test_pipeline_builds_no_point_objects(monkeypatch):
     built = []
     original = PersistencePoint.__post_init__

@@ -11,6 +11,7 @@ from persvec.coefficients import CoefficientVector
 from persvec.diagram import PersistenceDiagram
 from persvec.metrics import (
     COEFFICIENT_METRICS,
+    _coefficient_rows,
     _cost_matrix,
     bottleneck_bruteforce,
     bottleneck_distance,
@@ -84,6 +85,16 @@ def test_coefficient_distance_errors():
         coefficient_distance(a, CoefficientVector((1j, 2j), width=4), "d1")
     with pytest.raises(ValueError):
         coefficient_distance(a, a, "d9")
+
+
+def test_coefficient_rows_errors():
+    q, rows = np.array([1j, 2j]), np.array([[0j, 1j], [2j, 0j]])
+    with pytest.raises(ValueError) as scalar:
+        coefficient_distance(vec(1j, 2j), vec(1j, 2j), "d9")
+    with pytest.raises(ValueError) as kernel:
+        _coefficient_rows(q, rows, "d9")
+    assert str(kernel.value) == str(scalar.value)
+    assert _coefficient_rows(q, rows, "d1").tolist() == [2.0, 3.0]
 
 
 def test_coefficient_metrics_are_metrics():

@@ -32,6 +32,7 @@ from persvec.retrieval import (
     synthetic_database,
     two_stage_query,
 )
+from persvec.transforms import TRANSFORMS
 
 
 def diagram_db(diagrams, labels=None):
@@ -71,10 +72,13 @@ def test_database_validation():
                 DatabaseEntry("b", "x", d, {"R": CoefficientVector((1j, 2j), width=2)}),
             )
         )
-    db = LabeledDatabase((DatabaseEntry("a", "x", d),))
+    db = LabeledDatabase((DatabaseEntry("a", "x", d), DatabaseEntry("b", "y", d)))
     assert db.entry("a").label == "x"
+    assert (db.position("a"), db.position("b")) == (0, 1)
     with pytest.raises(ValueError, match="unknown model id"):
         db.entry("zzz")
+    with pytest.raises(ValueError, match="unknown model id"):
+        db.position("zzz")
 
 
 def test_distance_matrix_validation():
@@ -416,6 +420,51 @@ def test_two_stage_query_single_candidate():
     assert sorted(got) == sorted(e.model_id for e in db.entries if e.model_id != "m00")
 
 
+def sort_based_two_stage(query_id, db, transform, kind, candidates, count):
+    """The two-stage protocol as two Python sorts: two_stage_query's reference."""
+
+    def vector_of(e):
+        vec = e.vectors[transform]
+        return vec if count is None else vec.truncate(count)
+
+    query = db.entry(query_id)
+    others = sorted(
+        (e for e in db.entries if e.model_id != query_id),
+        key=lambda e: (coefficient_distance(vector_of(query), vector_of(e), kind), e.model_id),
+    )
+    head = sorted(
+        others[:candidates],
+        key=lambda e: (bottleneck_distance(query.diagram, e.diagram), e.model_id),
+    )
+    return [e.model_id for e in head + others[candidates:]]
+
+
+def test_two_stage_query_matches_sort_based_protocol():
+    # Repeated diagrams tie both stages; ids run past m9 in shuffled order,
+    # so string order (m10 < m9) differs from numeric and database order.
+    rng = random.Random(71)
+    for _ in range(15):
+        n = rng.randint(3, 16)
+        distinct = random_diagrams(rng, rng.randint(1, n), max_points=16)
+        ids = [f"m{i}" for i in range(n)]
+        rng.shuffle(ids)
+        transform = rng.choice(sorted(TRANSFORMS))
+        db = embed_database(
+            LabeledDatabase(
+                tuple(DatabaseEntry(mid, "x", rng.choice(distinct)) for mid in ids)
+            ),
+            transform,
+        )
+        k = db.entries[0].vectors[transform].count
+        for kind in COEFFICIENT_METRICS:
+            for count in (None, rng.randint(1, k)):
+                qid = rng.choice(ids)
+                cands = rng.randint(1, n - 1)
+                got = two_stage_query(qid, db, transform, kind, cands, count)
+                want = sort_based_two_stage(qid, db, transform, kind, cands, count)
+                assert got == want, (kind, count, qid, cands)
+
+
 def test_two_stage_query_errors():
     db = embed_database(diagram_db(random_diagrams(random.Random(41), 4)), "R")
     with pytest.raises(ValueError, match="unknown model id"):
@@ -461,6 +510,22 @@ def test_index_parse_errors():
         parse_index(header + "m00,Q,4,2,1.0,0.5,0.25,0.125\n")
     with pytest.raises(ValueError, match="malformed"):
         parse_index(header + "m00,R,4,2,1.0,abc,0.25,0.125\n")
+
+
+@pytest.mark.parametrize(
+    "rows, lineno, message",
+    [
+        (["a,R,3,0"], 2, "need between 1 and 3 coefficients, got 0"),
+        (["a,R,0,1,1.0,0.5"], 2, "width must be a positive integer, got 0"),
+        (["a,R,3,1,inf,0.5"], 2, "coefficient 1 is not finite"),
+        ([",R,3,1,1.0,0.5"], 2, "model id must not be empty"),
+        (["a,R,3,1,1.0,0.5", "a,R,3,1,2.0,0.5"], 3, "duplicate model id 'a'"),
+    ],
+)
+def test_index_parse_errors_name_the_line(rows, lineno, message):
+    with pytest.raises(ValueError) as exc:
+        parse_index("# coefficient-index v1\n" + "\n".join(rows) + "\n")
+    assert str(exc.value).startswith(f"line {lineno}: {message}")
 
 
 def test_serialize_index_needs_unique_kind():
