@@ -183,6 +183,13 @@ class PersistenceDiagram:
         return f"PersistenceDiagram.from_pairs({self._rows()!r}, {self.essential_count!r})"
 
 
+def _records(text: str) -> Iterator[tuple[int, str]]:
+    """(file line number, stripped line) of each line that is neither blank nor a ``#`` comment."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        if (line := raw.strip()) and not line.startswith("#"):
+            yield lineno, line
+
+
 def parse_diagram(text: str) -> PersistenceDiagram:
     """Parse diagram CSV.
 
@@ -208,10 +215,7 @@ def parse_diagram(text: str) -> PersistenceDiagram:
         build()  # an invalid point on an earlier line is reported first
         return ValueError(f"line {lineno}: {message}")
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in _records(text):
         fields = line.split(",")
         if len(fields) not in (2, 3):
             raise bad_line(lineno, f"expected 2 or 3 fields, got {len(fields)}")

@@ -55,6 +55,7 @@ def coefficient_distance(a: CoefficientVector, b: CoefficientVector, kind: str) 
     return total
 
 
+@np.errstate(over="ignore")  # an overflow gives inf, as in the scalar form: no warning
 def _coefficient_rows(q: np.ndarray, rows: np.ndarray, kind: str) -> np.ndarray:
     """``kind`` distances from the complex k-vector ``q`` to each row of an (n, k) array.
 
@@ -96,6 +97,7 @@ def point_distance(p: tuple[float, float], q: tuple[float, float]) -> float:
     return min(move, destroy)
 
 
+@np.errstate(over="ignore")  # an overflow gives inf, as in point_distance: no warning
 def _cost_matrix(a: PersistenceDiagram, b: PersistenceDiagram) -> np.ndarray:
     """Square matching-cost matrix with diagonal stand-ins.
 

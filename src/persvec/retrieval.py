@@ -27,7 +27,7 @@ from typing import Mapping
 import numpy as np
 
 from .coefficients import CoefficientVector, default_coefficient_count, embed_diagram
-from .diagram import PersistenceDiagram
+from .diagram import PersistenceDiagram, _records
 from .metrics import COEFFICIENT_METRICS, _coefficient_rows, bottleneck_distance
 from .metrics import coefficient_distance  # noqa: F401 -- perfbench's tracer wraps it here
 from .transforms import TRANSFORMS
@@ -36,10 +36,12 @@ INDEX_HEADER = "# coefficient-index v1"
 
 
 def _check_token(value: str, what: str) -> str:
+    """``value`` if every CSV format of the package reads it back as itself."""
     if not value:
         raise ValueError(f"{what} must not be empty")
-    if "," in value or "\n" in value or "\r" in value:
-        raise ValueError(f"{what} {value!r} must not contain commas or newlines")
+    if "," in value or value.splitlines() != [value] or value != value.strip() or value[0] == "#":
+        raise ValueError(f"{what} {value!r} must not contain commas or line breaks, "
+                         "start with '#' or start or end with whitespace")
     return value
 
 
@@ -216,8 +218,10 @@ def _stacked_vectors(db: LabeledDatabase, transform: str, count: int | None) -> 
         vec = e.vectors.get(transform)
         if vec is None:
             raise ValueError(f"entry {e.model_id!r} has no {transform!r} embedding")
-        rows.append((vec if count is None else vec.truncate(count)).coefficients)
-    return np.array(rows, dtype=complex)
+        rows.append(vec.coefficients)
+    if count is not None and rows:
+        vec.truncate(count)  # every vector has one shape, so one range check covers all
+    return np.array(rows, dtype=complex)[..., :count]
 
 
 def _coefficient_matrix(coeffs: np.ndarray, kind: str) -> np.ndarray:
@@ -433,17 +437,13 @@ def parse_index(text: str) -> LabeledDatabase:
     line is checked so stale or foreign files fail loudly.  Every error
     in a row names its line.
     """
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != INDEX_HEADER:
+    if not text or text.splitlines()[0].strip() != INDEX_HEADER:
         raise ValueError(
             f"bad index header (expected {INDEX_HEADER!r}): wrong version or not an index"
         )
     entries: dict[str, DatabaseEntry] = {}
     shape: tuple[str, int, int] | None = None
-    for lineno, raw in enumerate(lines[1:], start=2):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in _records(text):  # the header is a comment line
         try:
             row_shape, entry = _index_row(line)
             shape = shape or row_shape
@@ -477,22 +477,22 @@ def serialize_matrix(matrix: DistanceMatrix) -> str:
 
 
 def parse_matrix(text: str) -> DistanceMatrix:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
+    records = list(_records(text))
+    if not records:
         raise ValueError("empty matrix file")
-    ids = tuple(f.strip() for f in lines[0].split(","))
+    ids = tuple(f.strip() for f in records[0][1].split(","))
     n = len(ids)
-    if len(lines) - 1 != n:
-        raise ValueError(f"expected {n} matrix rows, found {len(lines) - 1}")
+    if len(records) - 1 != n:
+        raise ValueError(f"expected {n} matrix rows, found {len(records) - 1}")
     values = np.empty((n, n), dtype=float)
-    for i, line in enumerate(lines[1:]):
+    for i, (lineno, line) in enumerate(records[1:]):
         fields = line.split(",")
         if len(fields) != n:
-            raise ValueError(f"matrix row {i} has {len(fields)} fields, expected {n}")
+            raise ValueError(f"line {lineno}: matrix row has {len(fields)} fields, expected {n}")
         try:
             values[i] = list(map(float, fields))
         except ValueError:
-            raise ValueError(f"matrix row {i} has a malformed value") from None
+            raise ValueError(f"line {lineno}: matrix row has a malformed value") from None
     return DistanceMatrix(ids, values)
 
 
@@ -504,11 +504,11 @@ def serialize_pr_table(table: PRTable) -> str:
 
 
 def parse_pr_table(text: str) -> PRTable:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0].strip() != "recall,precision":
+    records = _records(text)
+    if next(records, (0, ""))[1] != "recall,precision":
         raise ValueError("expected a 'recall,precision' header")
     rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in records:
         fields = line.split(",")
         if len(fields) != 2:
             raise ValueError(f"line {lineno}: expected 2 fields")
@@ -529,17 +529,16 @@ def serialize_labels(labels: Mapping[str, str]) -> str:
 
 
 def parse_labels(text: str) -> dict[str, str]:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0].strip() != "id,class":
+    records = _records(text)
+    if next(records, (0, ""))[1] != "id,class":
         raise ValueError("expected an 'id,class' header")
     labels: dict[str, str] = {}
-    for lineno, line in enumerate(lines[1:], start=2):
-        fields = [f.strip() for f in line.split(",")]
-        if len(fields) != 2 or not fields[0] or not fields[1]:
-            raise ValueError(f"line {lineno}: expected 'id,class'")
-        if fields[0] in labels:
-            raise ValueError(f"line {lineno}: duplicate id {fields[0]!r}")
-        labels[fields[0]] = fields[1]
+    for lineno, line in records:
+        mid, _, label = (f.strip() for f in line.partition(","))  # a 3rd field leaves a comma
+        if mid in labels:
+            raise ValueError(f"line {lineno}: duplicate id {mid!r}")
+        _check_token(mid, f"line {lineno}: model id")
+        labels[mid] = _check_token(label, f"line {lineno}: label")
     return labels
 
 

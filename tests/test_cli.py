@@ -5,6 +5,7 @@ same way a shell user would drive it.
 """
 
 import os
+import random
 
 import pytest
 
@@ -309,3 +310,110 @@ def test_malformed_off_is_one_error_line(tmp_path, capsys):
         if name == "index.off":
             assert err.strip() == "error: face 0 has an index that is not a 64-bit integer"
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(bodies)
+
+
+@pytest.mark.parametrize("name", ["#c00m00", " c00m00", "c00m00 "])
+def test_diagram_file_name_that_would_not_read_back_fails_embed(tmp_path, capsys, name):
+    d = tmp_path / "db"
+    index = tmp_path / "index.csv"
+    assert run("synth", "--classes", "2", "--per-class", "3", "--out", str(d)) == 0
+    os.rename(d / "c00m00.csv", d / f"{name}.csv")
+    capsys.readouterr()
+    assert run("embed", "--diagrams", str(d), "--transform", "T", "--out", str(index)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: model id {name!r} must not") and err.count("\n") == 1
+    assert not index.exists()
+
+
+JUNK = ["", " ", "x", "#", "#x", "nan", "inf", "-inf", "-0.0", "0", "-1", "7", "1e308",
+        "-1e308", "5e-324", "99999999999999999999", "R", "Q", "c00m01", "\x1c", "é"]
+STRAY = ["", "  ", "#", "# stray, comment", "junk", ",", ",,,", "0,1", "c00m00,x"]
+
+
+def mutated(text: str, rng: random.Random) -> str:
+    """``text`` with 1-3 fields dropped, duplicated or junked, or stray lines added."""
+    lines = text.splitlines()
+    for _ in range(rng.randint(1, 3)):
+        how = rng.choice(("drop", "duplicate", "junk", "insert", "stray", "copy"))
+        i = rng.randrange(len(lines))
+        if how in ("stray", "copy"):
+            extra = rng.choice(STRAY) if how == "stray" else lines[i]
+            lines.insert(rng.randint(0, len(lines)), extra)
+            continue
+        fields = lines[i].split(",")
+        j = rng.randrange(len(fields))
+        if how == "drop":
+            del fields[j]
+        elif how == "duplicate":
+            fields.insert(j, fields[j])
+        else:  # "junk" replaces field j, "insert" puts a junk field before it
+            fields[j : j + (how == "junk")] = [rng.choice(JUNK)]
+        lines[i] = ",".join(fields)
+    return "\n".join(lines) + "\n"
+
+
+def test_fuzzed_inputs_exit_zero_or_one_error_line(tmp_path, capsys):
+    d = tmp_path / "db"
+    index, mat, out = tmp_path / "index.csv", tmp_path / "mat.csv", tmp_path / "out.csv"
+    assert run("synth", "--classes", "2", "--per-class", "3", "--seed", "5", "--out", str(d)) == 0
+    assert run("embed", "--diagrams", str(d), "--transform", "T", "--out", str(index)) == 0
+    assert run("dist", "--index", str(index), "--metric", "d1", "--out", str(mat)) == 0
+    labels = d / "labels.csv"
+    embed = ("embed", "--diagrams", str(d), "--transform", "S", "--out", str(out))
+    bottleneck = ("dist", "--diagrams", str(d), "--metric", "bottleneck", "--out", str(out))
+    dist = ("dist", "--index", str(index), "--metric", "d2", "--out", str(out))
+    pr = ("pr", "--matrix", str(mat), "--labels", str(labels), "--out", str(out))
+    query = ("query", "--index", str(index), "--diagrams", str(d), "--id", "c00m00",
+             "--metric", "d1", "--candidates", "3")
+    readers = {
+        d / "c00m00.csv": (embed, bottleneck, query),
+        d / "c01m02.csv": (embed, query),
+        index: (dist, query),
+        mat: (pr,),
+        labels: (pr,),
+    }
+    rng = random.Random(2024)
+    exits = set()
+    for case in range(300):
+        path = rng.choice(sorted(readers))
+        original = path.read_text()
+        path.write_text(mutated(original, rng))
+        for argv in readers[path]:
+            capsys.readouterr()
+            code = run(*argv)
+            err = capsys.readouterr().err
+            context = (case, path.name, argv[0], path.read_text(), err)
+            if code == 0:
+                assert err == "", context
+                out.unlink(missing_ok=True)
+            else:
+                assert code == 1, context
+                assert err.startswith("error: ") and err.count("\n") == 1, context
+                assert err.endswith("\n") and not out.exists(), context
+            exits.add(code)
+        path.write_text(original)
+    assert exits == {0, 1}
+
+
+def test_overflowing_distances_give_no_warning_lines(tmp_path, capsys):
+    # differences of finite values beyond the float range become inf silently,
+    # as in the scalar references; a non-finite matrix is then one error line
+    d = tmp_path / "db"
+    index, out = tmp_path / "index.csv", tmp_path / "out.csv"
+    assert run("synth", "--classes", "2", "--per-class", "3", "--out", str(d)) == 0
+    assert run("embed", "--diagrams", str(d), "--transform", "T", "--out", str(index)) == 0
+    header, *rows = index.read_text().splitlines()
+    for i, huge in ((0, "1e308"), (1, "-1e308")):
+        fields = rows[i].split(",")
+        fields[4] = huge
+        rows[i] = ",".join(fields)
+    index.write_text("\n".join([header, *rows]) + "\n")
+    (d / "c00m00.csv").write_text("-1e308,1e308\n0,1\n")
+    capsys.readouterr()
+    assert run("dist", "--index", str(index), "--metric", "d1", "--out", str(out)) == 1
+    assert capsys.readouterr().err == "error: matrix entries must be finite\n"
+    assert run("query", "--index", str(index), "--diagrams", str(d), "--id", "c00m01",
+               "--metric", "d1", "--candidates", "2") == 0
+    assert capsys.readouterr().err == ""
+    assert run("dist", "--diagrams", str(d), "--metric", "bottleneck", "--out", str(out)) == 0
+    assert capsys.readouterr().err == ""

@@ -475,6 +475,12 @@ def test_two_stage_query_errors():
         two_stage_query("m00", db, "R", "d1", candidates=4)
     with pytest.raises(ValueError, match="prefilter"):
         two_stage_query("m00", db, "R", "bottleneck", candidates=2)
+    k = db.entries[0].vectors["R"].count
+    for count in (0, k + 1):
+        with pytest.raises(ValueError, match=f"^cannot truncate {k} coefficients to {count}$"):
+            two_stage_query("m00", db, "R", "d1", candidates=2, count=count)
+        with pytest.raises(ValueError, match=f"^cannot truncate {k} coefficients to {count}$"):
+            distance_matrix(db, "d1", transform="R", count=count)
 
 
 # ------------------------------------------------------------- index file
