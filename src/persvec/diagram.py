@@ -25,8 +25,9 @@ import numpy as np
 _LIMIT = 2**63  # multiplicities are stored as int64
 
 
-class _InvalidPoint(ValueError):
-    """Raised as ``_InvalidPoint(message, index)``, index being the input position."""
+class _BadRow(ValueError):
+    """Raised by a constructor as ``_BadRow(message, index)``, index being the
+    position of the first bad input row; a parser turns it into the row's file line."""
 
     def __str__(self) -> str:
         return self.args[0]
@@ -47,7 +48,7 @@ def _point_columns(births, deaths, multiplicities=None):
     Every point needs finite coordinates, birth < death, and an integral
     multiplicity (integral floats included) from 1 to 2**63 - 1; without
     multiplicities each point counts once.  The first point that breaks
-    this raises :class:`_InvalidPoint`.
+    this raises :class:`_BadRow`.
     """
     b, d = np.asarray(births, dtype=float), np.asarray(deaths, dtype=float)
     given = np.ones(b.shape, np.int64) if multiplicities is None else multiplicities
@@ -59,7 +60,7 @@ def _point_columns(births, deaths, multiplicities=None):
     ok = np.isfinite(b) & np.isfinite(d) & (b < d) & (m >= 1)
     if not ok.all():
         i = int(np.argmin(ok))
-        raise _InvalidPoint(
+        raise _BadRow(
             f"point ({b[i]}, {d[i]}) with multiplicity {given[i]} needs finite coordinates, "
             "birth < death and an integer multiplicity from 1 to 2**63 - 1",
             i,
@@ -208,7 +209,7 @@ def parse_diagram(text: str) -> PersistenceDiagram:
     def build() -> PersistenceDiagram:
         try:
             return PersistenceDiagram(births, deaths, mults, essential)
-        except _InvalidPoint as exc:
+        except _BadRow as exc:
             raise ValueError(f"line {linenos[exc.args[1]]}: {exc}") from None
 
     def bad_line(lineno: int, message: str) -> ValueError:

@@ -182,8 +182,9 @@ def parse_off(text: str) -> TriangleMesh:
 
 
 def center_of_mass(mesh: TriangleMesh) -> np.ndarray:
-    """Plain arithmetic mean of the vertex positions."""
-    return mesh.vertices.mean(axis=0)
+    """Plain arithmetic mean of the vertex positions; not finite where the sum overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return mesh.vertices.mean(axis=0)
 
 
 def axis_vector(mesh: TriangleMesh, center: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -213,9 +214,16 @@ def axis_vector(mesh: TriangleMesh, center: np.ndarray) -> tuple[np.ndarray, np.
 
 
 def normalize_mesh(mesh: TriangleMesh, center: np.ndarray) -> TriangleMesh:
-    """Translate ``center`` to the origin and scale the farthest vertex to norm 1."""
-    offsets = mesh.vertices - np.asarray(center, dtype=float).reshape(3)
-    radius = float(np.linalg.norm(offsets, axis=1).max())
+    """Translate ``center`` to the origin and scale the farthest vertex to norm 1.
+
+    Raises ValueError when that vertex's distance does not fit a float:
+    coordinates beyond about 1e154 square past the largest double.
+    """
+    with np.errstate(over="ignore"):
+        offsets = mesh.vertices - np.asarray(center, dtype=float).reshape(3)
+        radius = float(np.linalg.norm(offsets, axis=1).max())
+    if not np.isfinite(radius):
+        raise ValueError("vertex coordinates too large: the farthest vertex's distance overflows")
     if radius == 0.0:
         raise ValueError("all vertices coincide with the center; cannot normalize")
     return TriangleMesh(offsets / radius, mesh.triangles)

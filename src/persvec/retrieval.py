@@ -27,10 +27,15 @@ from typing import Mapping
 import numpy as np
 
 from .coefficients import CoefficientVector, default_coefficient_count, embed_diagram
-from .diagram import PersistenceDiagram, _records
+from .diagram import PersistenceDiagram, _BadRow, _records
 from .metrics import COEFFICIENT_METRICS, _coefficient_rows, bottleneck_distance
 from .metrics import coefficient_distance  # noqa: F401 -- perfbench's tracer wraps it here
 from .transforms import TRANSFORMS
+
+try:
+    import orjson
+except ImportError:  # the optional "fast" extra; without it matrix rows go through repr/float
+    orjson = None
 
 INDEX_HEADER = "# coefficient-index v1"
 
@@ -104,6 +109,13 @@ class LabeledDatabase:
         return self.entries[self.position(model_id)]
 
 
+def _reject_rows(bad: np.ndarray, message: str) -> None:
+    """Raise ``_BadRow(message, i)`` for the first row ``i`` of ``bad`` that holds a True."""
+    rows = bad if bad.ndim == 1 else bad.any(axis=1)
+    if rows.any():
+        raise _BadRow(message, int(np.argmax(rows)))
+
+
 @dataclass(eq=False)
 class DistanceMatrix:
     """Symmetric all-pairs distances with a zero diagonal."""
@@ -119,14 +131,10 @@ class DistanceMatrix:
         n = len(ids)
         if values.shape != (n, n):
             raise ValueError(f"expected a {n}x{n} matrix, got shape {values.shape}")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("matrix entries must be finite")
-        if np.any(values < 0):
-            raise ValueError("matrix entries must be non-negative")
-        if not np.array_equal(values, values.T):
-            raise ValueError("matrix must be symmetric")
-        if np.any(np.diag(values) != 0):
-            raise ValueError("matrix diagonal must be zero")
+        _reject_rows(~np.isfinite(values), "matrix entries must be finite")
+        _reject_rows(values < 0, "matrix entries must be non-negative")
+        _reject_rows(values != values.T, "matrix must be symmetric")
+        _reject_rows(np.diag(values) != 0, "matrix diagonal must be zero")
         object.__setattr__(self, "ids", ids)
         object.__setattr__(self, "values", values)
 
@@ -140,13 +148,13 @@ class PRTable:
     def __post_init__(self) -> None:
         rows = tuple((float(r), float(p)) for r, p in self.rows)
         prev = 0.0
-        for r, p in rows:
+        for i, (r, p) in enumerate(rows):
             if not 0.0 < r <= 1.0:
-                raise ValueError(f"recall level {r} outside (0, 1]")
+                raise _BadRow(f"recall level {r} outside (0, 1]", i)
             if r <= prev:
-                raise ValueError("recall levels must be strictly increasing")
+                raise _BadRow("recall levels must be strictly increasing", i)
             if not 0.0 <= p <= 1.0:
-                raise ValueError(f"precision {p} outside [0, 1]")
+                raise _BadRow(f"precision {p} outside [0, 1]", i)
             prev = r
         object.__setattr__(self, "rows", rows)
 
@@ -470,13 +478,37 @@ def load_index(path) -> LabeledDatabase:
 
 
 def serialize_matrix(matrix: DistanceMatrix) -> str:
+    """Matrix CSV: the ids, then one row per model, each cell as ``repr`` writes it.
+
+    With orjson installed, a row whose cells are all zero or in [1e-4, 1e16)
+    is written by ``orjson.dumps``: in that range both give the shortest
+    round-trip digits in plain notation.  Outside it ``repr`` switches to
+    exponents (``1e-05``, ``1e+16``) where orjson does not, so any other row
+    is joined from ``repr``.
+    """
+    values = matrix.values
+    plain = ((values == 0) | ((values >= 1e-4) & (values < 1e16))).all(axis=1)
     lines = [",".join(matrix.ids)]
-    for row in matrix.values.tolist():
-        lines.append(",".join(map(repr, row)))
+    for row, fast in zip(values.tolist(), (plain & (orjson is not None)).tolist()):
+        lines.append(orjson.dumps(row)[1:-1].decode() if fast else ",".join(map(repr, row)))
     return "\n".join(lines) + "\n"
 
 
+def _json_row(line: str, n: int) -> list[float] | None:
+    """The row's cells if orjson reads ``line`` as exactly ``n`` JSON floats, else None.
+
+    orjson rounds JSON numbers as ``float`` does; ints (``-0`` reads as 0) and
+    what JSON lacks (``inf``, ``.5``, ``1_0``) are left to ``float`` and its errors.
+    """
+    try:
+        row = orjson.loads(f"[{line}]")
+    except orjson.JSONDecodeError:
+        return None
+    return row if len(row) == n and set(map(type, row)) == {float} else None
+
+
 def parse_matrix(text: str) -> DistanceMatrix:
+    """Inverse of :func:`serialize_matrix`; every error in a row names its line."""
     records = list(_records(text))
     if not records:
         raise ValueError("empty matrix file")
@@ -486,14 +518,24 @@ def parse_matrix(text: str) -> DistanceMatrix:
         raise ValueError(f"expected {n} matrix rows, found {len(records) - 1}")
     values = np.empty((n, n), dtype=float)
     for i, (lineno, line) in enumerate(records[1:]):
-        fields = line.split(",")
-        if len(fields) != n:
-            raise ValueError(f"line {lineno}: matrix row has {len(fields)} fields, expected {n}")
-        try:
-            values[i] = list(map(float, fields))
-        except ValueError:
-            raise ValueError(f"line {lineno}: matrix row has a malformed value") from None
-    return DistanceMatrix(ids, values)
+        row = _json_row(line, n) if orjson else None
+        if row is None:
+            fields = line.split(",")
+            if len(fields) != n:
+                raise ValueError(
+                    f"line {lineno}: matrix row has {len(fields)} fields, expected {n}"
+                )
+            try:
+                row = list(map(float, fields))
+            except ValueError:
+                raise ValueError(f"line {lineno}: matrix row has a malformed value") from None
+        values[i] = row
+    try:
+        return DistanceMatrix(ids, values)
+    except _BadRow as exc:
+        raise ValueError(f"line {records[exc.args[1] + 1][0]}: {exc}") from None
+    except ValueError as exc:  # the ids
+        raise ValueError(f"line {records[0][0]}: {exc}") from None
 
 
 def serialize_pr_table(table: PRTable) -> str:
@@ -507,7 +549,7 @@ def parse_pr_table(text: str) -> PRTable:
     records = _records(text)
     if next(records, (0, ""))[1] != "recall,precision":
         raise ValueError("expected a 'recall,precision' header")
-    rows = []
+    rows, linenos = [], []
     for lineno, line in records:
         fields = line.split(",")
         if len(fields) != 2:
@@ -516,7 +558,11 @@ def parse_pr_table(text: str) -> PRTable:
             rows.append((float(fields[0]), float(fields[1])))
         except ValueError:
             raise ValueError(f"line {lineno}: malformed number") from None
-    return PRTable(tuple(rows))
+        linenos.append(lineno)
+    try:
+        return PRTable(tuple(rows))
+    except _BadRow as exc:
+        raise ValueError(f"line {linenos[exc.args[1]]}: {exc}") from None
 
 
 def serialize_labels(labels: Mapping[str, str]) -> str:

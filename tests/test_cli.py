@@ -298,6 +298,8 @@ def test_malformed_off_is_one_error_line(tmp_path, capsys):
         "ragged.off": "OFF\n2 0 0\n0 0\n0 0 0 0\n",
         "number.off": "OFF\n3 1 0\n0 0 0\n1 0 0\n0 1.5.0 0\n3 0 1 2\n",
         "index.off": "OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 99999999999999999999\n",
+        "huge.off": "OFF\n3 1 0\n1e308 0 0\n1e308 1 0\n0 1 0\n3 0 1 2\n",
+        "far.off": "OFF\n3 1 0\n1e200 0 0\n0 0 0\n0 1 0\n3 0 1 2\n",
     }
     for name, text in bodies.items():
         mesh = tmp_path / name
@@ -309,6 +311,8 @@ def test_malformed_off_is_one_error_line(tmp_path, capsys):
         assert not out.exists(), name
         if name == "index.off":
             assert err.strip() == "error: face 0 has an index that is not a 64-bit integer"
+        if name in ("huge.off", "far.off"):  # the sum or the squares overflow
+            assert err.startswith("error: vertex coordinates too large"), name
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(bodies)
 
 
@@ -330,8 +334,9 @@ JUNK = ["", " ", "x", "#", "#x", "nan", "inf", "-inf", "-0.0", "0", "-1", "7", "
 STRAY = ["", "  ", "#", "# stray, comment", "junk", ",", ",,,", "0,1", "c00m00,x"]
 
 
-def mutated(text: str, rng: random.Random) -> str:
-    """``text`` with 1-3 fields dropped, duplicated or junked, or stray lines added."""
+def mutated(text: str, rng: random.Random, sep: str = ",") -> str:
+    """``text`` with 1-3 ``sep``-separated fields dropped, duplicated or junked, or stray
+    lines added."""
     lines = text.splitlines()
     for _ in range(rng.randint(1, 3)):
         how = rng.choice(("drop", "duplicate", "junk", "insert", "stray", "copy"))
@@ -340,7 +345,7 @@ def mutated(text: str, rng: random.Random) -> str:
             extra = rng.choice(STRAY) if how == "stray" else lines[i]
             lines.insert(rng.randint(0, len(lines)), extra)
             continue
-        fields = lines[i].split(",")
+        fields = lines[i].split(sep)
         j = rng.randrange(len(fields))
         if how == "drop":
             del fields[j]
@@ -348,11 +353,22 @@ def mutated(text: str, rng: random.Random) -> str:
             fields.insert(j, fields[j])
         else:  # "junk" replaces field j, "insert" puts a junk field before it
             fields[j : j + (how == "junk")] = [rng.choice(JUNK)]
-        lines[i] = ",".join(fields)
+        lines[i] = sep.join(fields)
     return "\n".join(lines) + "\n"
 
 
-def test_fuzzed_inputs_exit_zero_or_one_error_line(tmp_path, capsys):
+def check_exit(code: int, err: str, out, context) -> None:
+    """Exit 0 with nothing on stderr, or exit 1 with one ``error:`` line and no output file."""
+    if code == 0:
+        assert err == "", context
+        out.unlink(missing_ok=True)
+    else:
+        assert code == 1, context
+        assert err.startswith("error: ") and err.count("\n") == 1, context
+        assert err.endswith("\n") and not out.exists(), context
+
+
+def test_fuzzed_inputs_exit_zero_or_one_error_line(matrix_row_path, tmp_path, capsys):
     d = tmp_path / "db"
     index, mat, out = tmp_path / "index.csv", tmp_path / "mat.csv", tmp_path / "out.csv"
     assert run("synth", "--classes", "2", "--per-class", "3", "--seed", "5", "--out", str(d)) == 0
@@ -382,16 +398,27 @@ def test_fuzzed_inputs_exit_zero_or_one_error_line(tmp_path, capsys):
             capsys.readouterr()
             code = run(*argv)
             err = capsys.readouterr().err
-            context = (case, path.name, argv[0], path.read_text(), err)
-            if code == 0:
-                assert err == "", context
-                out.unlink(missing_ok=True)
-            else:
-                assert code == 1, context
-                assert err.startswith("error: ") and err.count("\n") == 1, context
-                assert err.endswith("\n") and not out.exists(), context
+            check_exit(code, err, out, (case, path.name, argv[0], path.read_text(), err))
             exits.add(code)
         path.write_text(original)
+    assert exits == {0, 1}
+
+
+def test_fuzzed_off_exits_zero_or_one_error_line(tmp_path, capsys):
+    mesh, out = tmp_path / "mesh.off", tmp_path / "diagram.csv"
+    original = capsule_off(1.5, 0.8)
+    rng = random.Random(2025)
+    exits = set()
+    for case in range(300):
+        text = mutated(original, rng, sep=" ")
+        mesh.write_text(text)
+        capsys.readouterr()
+        code = run("diagram", "--mesh", str(mesh), "--filter", rng.choice(["line", "plane"]),
+                   "--out", str(out))
+        err = capsys.readouterr().err
+        check_exit(code, err, out, (case, text, err))
+        assert sorted(tmp_path.iterdir()) == [mesh], (case, text)  # no temp file left
+        exits.add(code)
     assert exits == {0, 1}
 
 

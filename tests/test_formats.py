@@ -2,14 +2,21 @@
 
 Every CSV reader skips blank and ``#`` lines and names a bad row by its
 line in the file; every id and label is a token that each format reads
-back unchanged.
+back unchanged.  Matrix rows go through orjson where it gives the bytes
+and bits of ``repr`` and ``float``, so both row paths are checked here.
 """
+
+import math
+import struct
+import sys
+from decimal import Context, Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from persvec import retrieval
 from persvec.coefficients import CoefficientVector
 from persvec.diagram import parse_diagram
 from persvec.retrieval import (
@@ -43,6 +50,16 @@ from persvec.transforms import TRANSFORMS
         (parse_labels, "id,class\n# note\na,x\n\na,y\n", "line 5: duplicate id 'a'"),
         (parse_pr_table, "recall,precision\n\n# note\n0.5,x\n", "line 4: malformed number"),
         (parse_pr_table, "recall,precision\n# note\n\n0.5\n", "line 4: expected 2 fields"),
+        # checks the constructors make after parsing
+        (parse_matrix, "a,b\n# c\n0.0,-1.0\n-1.0,0.0\n", "line 3: matrix entries must be non-n"),
+        (parse_matrix, "a,b\n0.0,1.0\n\n1.0,nan\n", "line 4: matrix entries must be finite"),
+        (parse_matrix, "a,b\n0.0,1.0\n# c\n1.0,2.0\n", "line 4: matrix diagonal must be zero"),
+        (parse_matrix, "a,b,c\n0,1,2\n\n1,0,3\n2,4,0\n", "line 4: matrix must be symmetric"),
+        (parse_matrix, "# c\n\na,#b\n0.0,1.0\n1.0,0.0\n", "line 3: model id '#b' must not"),
+        (parse_matrix, "\na,a\n0.0,1.0\n1.0,0.0\n", "line 2: duplicate ids in distance"),
+        (parse_pr_table, "recall,precision\n\n# c\n1.5,0.5\n", "line 4: recall level 1.5 out"),
+        (parse_pr_table, "recall,precision\n0.5,1\n# c\n0.5,1\n", "line 4: recall levels must"),
+        (parse_pr_table, "recall,precision\n\n1.0,2.0\n", "line 3: precision 2.0 outside"),
     ],
 )
 def test_bad_row_after_blank_and_comment_lines_names_its_file_line(parse, text, message):
@@ -160,9 +177,11 @@ def test_index_round_trip(data):
     assert serialize_index(again, kind) == text  # the sign of every zero survives too
 
 
-@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+# the row path is patched once per test, not per example
+@settings(derandomize=True, database=None, max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.data())
-def test_matrix_round_trip(data):
+def test_matrix_round_trip(matrix_row_path, data):
     ids = data.draw(st.lists(tokens, unique=True, min_size=1, max_size=5))
     n = len(ids)
     values = np.zeros((n, n))
@@ -195,3 +214,121 @@ def test_pr_table_round_trip(data):
     again = parse_pr_table(with_noise(data, text))
     assert again == table
     assert serialize_pr_table(again) == text
+
+
+# ------------------------------------------------------ matrix row paths
+
+
+def repr_only(fn, *args):
+    """``fn(*args)`` with orjson hidden, so every matrix row goes through repr/float."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(retrieval, "orjson", None)
+        return fn(*args)
+
+
+def _float(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+def _bits(x: float) -> int:
+    return struct.unpack("<Q", struct.pack("<d", x))[0]
+
+
+def bit_patterns(lo: float, hi: float):
+    """Non-negative doubles from ``lo`` to ``hi`` with uniformly drawn bit patterns."""
+    return st.integers(_bits(lo), _bits(hi)).map(_float)
+
+
+LOW, HIGH = 1e-4, 1e16  # orjson and repr write the same digits in [LOW, HIGH)
+plain_cells = bit_patterns(LOW, math.nextafter(HIGH, 0)) | st.sampled_from(
+    [0.0, -0.0, LOW, math.nextafter(LOW, math.inf), math.nextafter(HIGH, 0)]
+)
+any_cells = (
+    plain_cells
+    | bit_patterns(0.0, sys.float_info.max)
+    | bit_patterns(5e-324, math.nextafter(sys.float_info.min, 0))  # subnormals
+    | st.sampled_from([math.nextafter(LOW, 0), HIGH, math.nextafter(HIGH, math.inf)])
+)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.data())
+def test_serialize_matrix_is_byte_identical_to_repr(data):
+    n = data.draw(st.integers(1, 6))
+    cells = data.draw(st.sampled_from([plain_cells, any_cells]))
+    values = np.zeros((n, n))
+    for i in range(n):
+        values[i, i] = data.draw(st.sampled_from([0.0, -0.0]))
+        for j in range(i + 1, n):
+            values[i, j] = values[j, i] = data.draw(cells)
+    matrix = DistanceMatrix(tuple(f"m{i}" for i in range(n)), values)
+    assert serialize_matrix(matrix) == repr_only(serialize_matrix, matrix)
+
+
+def parse_outcome(text: str):
+    """The parsed values' bytes, or the error text."""
+    try:
+        return parse_matrix(text).values.tobytes()
+    except ValueError as exc:
+        return str(exc)
+
+
+def halfway(x: float) -> str:
+    """The exact decimal midway between ``x`` and the next double up."""
+    with localcontext(Context(prec=1200)):
+        return str((Decimal(x) + Decimal(math.nextafter(x, math.inf))) / 2)
+
+
+json_floats = (
+    st.from_regex(r"\A-?(0|[1-9][0-9]{0,24})(\.[0-9]{1,25})?([eE][+-]?[0-9]{1,3})?\Z")
+    | any_cells.map(repr)
+    | bit_patterns(0.0, math.nextafter(sys.float_info.max, 0)).map(halfway)
+)
+decimals = (
+    json_floats
+    | st.from_regex(r"\A[+-]?(\d{1,25}\.?\d{0,25}|\.\d{1,25})([eE][+-]?\d{1,3})?\Z")
+    | st.integers(0, 10**40).map(str)
+    | st.text(st.sampled_from("0123456789.eE+-_ infa"), max_size=12)
+    | st.text(max_size=6)
+)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.data())
+def test_parse_matrix_is_bit_identical_to_float(data):
+    n = data.draw(st.integers(1, 4))
+    cells = data.draw(st.sampled_from([json_floats, decimals]))
+    rows = [[data.draw(st.sampled_from(["0.0", "-0.0", "0", "-0"]))] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = rows[j][i] = data.draw(cells)
+    text = ",".join(f"m{i}" for i in range(n)) + "\n" + "\n".join(map(",".join, rows)) + "\n"
+    assert parse_outcome(text) == repr_only(parse_outcome, text)
+
+
+FINITE = "line 2: matrix entries must be finite"
+
+
+@pytest.mark.parametrize(
+    "cell, expected",
+    [
+        ("-0", -0.0),  # orjson reads the int 0
+        ("1", 1.0),
+        ("01", 1.0),  # the rest are not JSON numbers
+        ("1e400", FINITE),
+        (".5", 0.5),
+        ("5.", 5.0),
+        ("+1", 1.0),
+        ("1_0", 10.0),
+        (" 1.0", 1.0),
+        ("inf", FINITE),
+        ("nan", FINITE),
+        (str(2**63 + 1), float(2**63 + 1)),
+    ],
+)
+def test_cells_json_reads_differently_parse_as_float_reads_them(matrix_row_path, cell, expected):
+    outcome = parse_outcome(f"a,b\n0.0,{cell}\n{cell},0.0\n")
+    if isinstance(expected, str):
+        assert outcome == expected
+    else:
+        assert outcome == np.array([[0.0, expected], [expected, 0.0]]).tobytes()

@@ -251,6 +251,38 @@ def test_parse_off_matches_per_line_parser():
     assert kinds["ok"] > 200 and kinds["error"] > 200, kinds
 
 
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.data())
+def test_off_round_trip(data):
+    """Any finite vertices and proper triangles, written as OFF, read back bit for bit."""
+    n = data.draw(st.integers(1, 7))
+    coord = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+        [-0.0, 5e-324, -1e308, 2.2250738585072014e-308 / 3]
+    )
+    points = st.lists(st.tuples(coord, coord, coord), min_size=n, max_size=n)
+    vertices = np.array(data.draw(points))
+    triangle = st.lists(st.integers(0, n - 1), min_size=3, max_size=3, unique=True)
+    triangles = np.array(data.draw(st.lists(triangle, max_size=6)) if n >= 3 else [], dtype=int)
+    sep = st.sampled_from([" ", "  ", "\t", " \t "])
+    noise = st.sampled_from(["", "   ", "# note", "\t# 1 2 3"])
+
+    def line(tokens):
+        text = tokens[0]
+        for token in tokens[1:]:
+            text += data.draw(sep) + token
+        return text + data.draw(st.sampled_from(["", " ", " # trailing", "#"]))
+
+    lines = ["OFF", f"{n} {len(triangles)} 0"]
+    lines += [line([repr(float(x)) for x in v]) for v in vertices]
+    colours = data.draw(st.booleans())  # trailing face colours take the per-line path
+    lines += [line(["3", *map(str, t)] + ["255", "0", "0"] * colours) for t in triangles]
+    for _ in range(data.draw(st.integers(0, 3))):
+        lines.insert(data.draw(st.integers(0, len(lines))), data.draw(noise))
+    mesh = parse_off("\n".join(lines) + "\n")
+    assert mesh.vertices.tobytes() == vertices.reshape(n, 3).tobytes()
+    assert mesh.triangles.tolist() == triangles.reshape(-1, 3).tolist()
+
+
 def test_parse_off_ragged_lines_are_not_reflowed():
     # token totals match a 2-vertex mesh, but the first line is short
     with pytest.raises(ValueError, match="vertex line 0 has 2 fields"):
