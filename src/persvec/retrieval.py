@@ -25,17 +25,13 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
+import orjson
 
 from .coefficients import CoefficientVector, default_coefficient_count, embed_diagram
 from .diagram import PersistenceDiagram, _BadRow, _records
 from .metrics import COEFFICIENT_METRICS, _coefficient_rows, bottleneck_distance
 from .metrics import coefficient_distance  # noqa: F401 -- perfbench's tracer wraps it here
 from .transforms import TRANSFORMS
-
-try:
-    import orjson
-except ImportError:  # the optional "fast" extra; without it matrix rows go through repr/float
-    orjson = None
 
 INDEX_HEADER = "# coefficient-index v1"
 
@@ -480,16 +476,15 @@ def load_index(path) -> LabeledDatabase:
 def serialize_matrix(matrix: DistanceMatrix) -> str:
     """Matrix CSV: the ids, then one row per model, each cell as ``repr`` writes it.
 
-    With orjson installed, a row whose cells are all zero or in [1e-4, 1e16)
-    is written by ``orjson.dumps``: in that range both give the shortest
-    round-trip digits in plain notation.  Outside it ``repr`` switches to
-    exponents (``1e-05``, ``1e+16``) where orjson does not, so any other row
-    is joined from ``repr``.
+    A row whose cells are all zero or in [1e-4, 1e16) is written by
+    ``orjson.dumps``: in that range both give the shortest round-trip digits
+    in plain notation.  Outside it ``repr`` switches to exponents (``1e-05``,
+    ``1e+16``) where orjson does not, so any other row is joined from ``repr``.
     """
     values = matrix.values
     plain = ((values == 0) | ((values >= 1e-4) & (values < 1e16))).all(axis=1)
     lines = [",".join(matrix.ids)]
-    for row, fast in zip(values.tolist(), (plain & (orjson is not None)).tolist()):
+    for row, fast in zip(values.tolist(), plain.tolist()):
         lines.append(orjson.dumps(row)[1:-1].decode() if fast else ",".join(map(repr, row)))
     return "\n".join(lines) + "\n"
 
@@ -518,7 +513,7 @@ def parse_matrix(text: str) -> DistanceMatrix:
         raise ValueError(f"expected {n} matrix rows, found {len(records) - 1}")
     values = np.empty((n, n), dtype=float)
     for i, (lineno, line) in enumerate(records[1:]):
-        row = _json_row(line, n) if orjson else None
+        row = _json_row(line, n)
         if row is None:
             fields = line.split(",")
             if len(fields) != n:

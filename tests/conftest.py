@@ -1,18 +1,3 @@
-import pytest
-
-from persvec import retrieval
-
-
-@pytest.fixture(params=["orjson", "repr"])
-def matrix_row_path(request, monkeypatch):
-    """Run a test once per matrix row path: orjson where a row allows it, and repr/float alone."""
-    if request.param == "orjson" and retrieval.orjson is None:
-        pytest.skip("orjson is not installed")
-    if request.param == "repr":
-        monkeypatch.setattr(retrieval, "orjson", None)
-    return request.param
-
-
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     """Reprint the acceptance verdict lines after the normal test report."""
     try:

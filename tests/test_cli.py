@@ -368,7 +368,7 @@ def check_exit(code: int, err: str, out, context) -> None:
         assert err.endswith("\n") and not out.exists(), context
 
 
-def test_fuzzed_inputs_exit_zero_or_one_error_line(matrix_row_path, tmp_path, capsys):
+def test_fuzzed_inputs_exit_zero_or_one_error_line(tmp_path, capsys):
     d = tmp_path / "db"
     index, mat, out = tmp_path / "index.csv", tmp_path / "mat.csv", tmp_path / "out.csv"
     assert run("synth", "--classes", "2", "--per-class", "3", "--seed", "5", "--out", str(d)) == 0
