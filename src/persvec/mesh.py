@@ -16,7 +16,6 @@ independent check on the union-find sweep.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -233,13 +232,10 @@ def normalize_mesh(mesh: TriangleMesh, center: np.ndarray) -> TriangleMesh:
 
 
 def _rescale_unit(raw: np.ndarray, what: str) -> np.ndarray:
+    """Min-max rescale to [0, 1]; a constant filter has no scale to take."""
     lo, hi = float(raw.min()), float(raw.max())
     if hi == lo:
-        warnings.warn(
-            f"{what} is constant across the mesh; emitting all zeros",
-            stacklevel=3,
-        )
-        return np.zeros_like(raw)
+        raise ValueError(f"{what} is constant across the mesh")
     return (raw - lo) / (hi - lo)
 
 

@@ -422,6 +422,17 @@ def test_fuzzed_off_exits_zero_or_one_error_line(tmp_path, capsys):
     assert exits == {0, 1}
 
 
+def test_constant_filter_is_one_error_line(tmp_path, capsys):
+    # three vertices on one line: every vertex lies on the frame axis
+    mesh, out = tmp_path / "mesh.off", tmp_path / "diagram.csv"
+    mesh.write_text("OFF\n3 0 0\n0 0 0\n0 0 1\n0 0 3\n")
+    capsys.readouterr()
+    code = run("diagram", "--mesh", str(mesh), "--filter", "line", "--out", str(out))
+    err = capsys.readouterr().err
+    check_exit(code, err, out, err)
+    assert err == "error: line-distance filter is constant across the mesh\n"
+
+
 def test_overflowing_distances_give_no_warning_lines(tmp_path, capsys):
     # differences of finite values beyond the float range become inf silently,
     # as in the scalar references; a non-finite matrix is then one error line

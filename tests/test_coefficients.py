@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 
+import mpmath
 import pytest
 
 from persvec.coefficients import (
@@ -13,7 +14,7 @@ from persvec.coefficients import (
     embed_roots,
 )
 from persvec.diagram import PersistenceDiagram
-from persvec.transforms import ComplexRoot, ComplexRootList
+from persvec.transforms import ComplexRoot, ComplexRootList, transform_diagram
 
 
 def esp_bruteforce(roots, count):
@@ -123,6 +124,32 @@ def test_default_count_is_floor_sqrt():
     assert default_coefficient_count(24) == 4
     with pytest.raises(ValueError):
         default_coefficient_count(0)
+
+
+def test_float_coefficients_match_mpmath_on_a_mid_size_diagram():
+    # 1000 points, k = 31: every float64 e_j of R, S and T lies within a
+    # relative 1e-14 of the same recurrence run at 40 significant digits
+    # (measured here: at most 1.3e-15 for R, 6.3e-16 for S, 1.9e-15 for
+    # T; 5.8e-15 on a 9,985-point mesh diagram), while |e_31| of R is
+    # about 1e53.
+    rng = random.Random(61)
+    pts = []
+    for _ in range(1000):
+        birth = rng.uniform(0, 0.9)
+        pts.append((birth, birth + rng.uniform(1e-4, 0.1) * rng.choice([1, 1, 1, 5])))
+    diagram = PersistenceDiagram.from_pairs(pts)
+    count = default_coefficient_count(diagram.total_multiplicity())
+    for kind in "RST":
+        roots = list(transform_diagram(diagram, kind).expand())
+        got = elementary_symmetric(roots, count)
+        with mpmath.workdps(40):
+            exact = [mpmath.mpc(1)] + [mpmath.mpc(0)] * count
+            for seen, z in enumerate(roots, start=1):
+                z = mpmath.mpc(z.real, z.imag)
+                for j in range(min(seen, count), 0, -1):
+                    exact[j] += z * exact[j - 1]
+            errors = [abs(mpmath.mpc(g.real, g.imag) - e) / abs(e) for g, e in zip(got, exact[1:])]
+        assert max(errors) < 1e-14, (kind, max(errors))
 
 
 def test_overflow_reports_lowest_bad_coefficient():

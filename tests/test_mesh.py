@@ -439,16 +439,16 @@ def test_full_chain_scale_invariance():
     assert np.max(np.abs(pa - pb)) < 1e-12
 
 
-def test_constant_filter_warns_and_zeroes():
+def test_constant_filter_is_an_error():
     # all vertices equidistant from the line: a square around the axis
     mesh = TriangleMesh(
         np.array([[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0.0]]),
         np.zeros((0, 3), int),
     )
     frame = MeshFrame(np.zeros(3), np.array([0, 0, 1.0]))
-    with pytest.warns(UserWarning, match="constant"):
-        values = filter_line(mesh, frame)
-    assert np.all(values == 0.0)
+    with pytest.raises(ValueError, match="^line-distance filter is constant across the mesh$"):
+        filter_line(mesh, frame)
+    assert np.all(filter_line(mesh, frame, rescale=False) == 1.0)
 
 
 # ----------------------------------------------------------- persistence

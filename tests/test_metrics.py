@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
+from persvec import metrics
 from persvec.coefficients import CoefficientVector
 from persvec.diagram import PersistenceDiagram
 from persvec.metrics import (
@@ -281,6 +282,58 @@ def test_bottleneck_equals_plain_bisection_far_above_lower_bound():
             far += 1
         assert bottleneck_distance(a, b) == candidates[answer]
     assert far >= 15
+
+
+@st.composite
+def reduced_graph_pairs(draw):
+    """Two diagrams of 0-40 points each (with multiplicity) for the reduced search.
+
+    Each side is empty, all small (gaps below 0.05, near the diagonal),
+    all big (gaps of 0.5-2), or mixed, and may carry a few points far out
+    whose half-gaps or distances overflow to inf.  Big sides of up to 40
+    points take both the Kuhn and the scipy matcher.
+    """
+    small = st.floats(1e-6, 0.05)
+    big = st.floats(0.5, 2)
+    huge = st.sampled_from([(-1.5e308, 1e308), (-1e308, 1.5e308), (1e308, 1.5e308), (-1.5e308, -1e308)])
+    pair = []
+    for _ in range(2):
+        gap = draw(st.sampled_from([small, big, st.one_of(small, big)]))
+        budget = draw(st.sampled_from([0, 3, 12, 40]))
+        pts = [(birth, death, 1) for birth, death in draw(st.lists(huge, max_size=min(budget, 2)))]
+        budget -= len(pts)
+        for birth, width, mult in draw(st.lists(st.tuples(st.floats(0, 2), gap, st.integers(1, 3)),
+                                                min_size=budget, max_size=budget)):
+            if budget:
+                pts.append((birth, birth + width, min(mult, budget)))
+                budget -= pts[-1][2]
+        pair.append(PersistenceDiagram.from_pairs(pts))
+    return tuple(pair)
+
+
+def test_bottleneck_equals_plain_bisection_on_reduced_graph(monkeypatch):
+    # bottleneck_distance never builds the stand-in matrix; the reference
+    # bisects over every cost of it with an independent assignment solver.
+    sides = []
+    row_cover = metrics._row_cover
+
+    def spy(adj):
+        sides.append(len(adj))
+        return row_cover(adj)
+
+    monkeypatch.setattr(metrics, "_row_cover", spy)
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(reduced_graph_pairs())
+    def check(pair):
+        a, b = pair
+        candidates, answer = plain_bisection(_cost_matrix(a, b))
+        assert bottleneck_distance(a, b) == (candidates[answer] if len(candidates) else 0.0)
+
+    check()
+    # both matchers ran on sides with big points
+    assert any(0 < size <= metrics._KUHN_MAX_BIG for size in sides)
+    assert max(sides) > metrics._KUHN_MAX_BIG
 
 
 def test_bruteforce_cap():
