@@ -137,8 +137,10 @@ def _cost_matrix(a: PersistenceDiagram, b: PersistenceDiagram) -> np.ndarray:
 
 # A side with at most this many big points is matched by the
 # plain-Python augmenting-path search, a larger one by scipy.  Measured
-# on pairs of 8-40 big points, alone or among 60: Kuhn is the faster
-# up to about 16, and scipy's Hopcroft-Karp up to twice as fast beyond.
+# on pairs of 8-40 big points, alone or among 60, Kuhn was the faster
+# up to about 16; scipy's Hopcroft-Karp was about 1.1x faster at 20-40
+# and 3-5x faster on pairs of 60 and 200 points that are all big.  The
+# bound also caps the depth of Kuhn's recursion.
 _KUHN_MAX_BIG = 16
 
 

@@ -130,8 +130,8 @@ def test_float_coefficients_match_mpmath_on_a_mid_size_diagram():
     # 1000 points, k = 31: every float64 e_j of R, S and T lies within a
     # relative 1e-14 of the same recurrence run at 40 significant digits
     # (measured here: at most 1.3e-15 for R, 6.3e-16 for S, 1.9e-15 for
-    # T; 5.8e-15 on a 9,985-point mesh diagram), while |e_31| of R is
-    # about 1e53.
+    # T; 5.8e-15 on a 9,985-point mesh diagram), while |e_31| is about
+    # 3e54 for R and 1e22 for T.
     rng = random.Random(61)
     pts = []
     for _ in range(1000):
