@@ -137,10 +137,11 @@ def _cost_matrix(a: PersistenceDiagram, b: PersistenceDiagram) -> np.ndarray:
 
 # A side with at most this many big points is matched by the
 # plain-Python augmenting-path search, a larger one by scipy.  Measured
-# on pairs of 8-40 big points, alone or among 60, Kuhn was the faster
-# up to about 16; scipy's Hopcroft-Karp was about 1.1x faster at 20-40
-# and 3-5x faster on pairs of 60 and 200 points that are all big.  The
-# bound also caps the depth of Kuhn's recursion.
+# on 60-point pairs with 1-7 big points, Kuhn took 0.3-0.7x scipy's
+# time per pair; on pairs of 8-40 big points, alone or among 60, it was
+# the faster up to about 16; scipy's Hopcroft-Karp was about 1.1x
+# faster at 20-40 and 3-5x faster on pairs of 60 and 200 points that
+# are all big.  The bound also caps the depth of Kuhn's recursion.
 _KUHN_MAX_BIG = 16
 
 

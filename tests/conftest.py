@@ -1,24 +1,3 @@
-import warnings
-
-import pytest
-
-
-@pytest.hookimpl(hookwrapper=True, tryfirst=True)
-def pytest_runtest_makereport(item, call):
-    """Build test reports with DeprecationWarnings ignored.
-
-    pytest turns warnings into errors (``filterwarnings = ["error"]``).
-    When a hypothesis test fails, the hypothesis plugin's report hook
-    imports libcst to write a patch for the falsifying example, and that
-    import warns: without this wrapper the run ends in an INTERNALERROR
-    instead of printing the example.  Test code does not run in this
-    hook, so the filter still holds for every test.
-    """
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        yield
-
-
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     """Reprint the acceptance verdict lines after the normal test report."""
     try:
