@@ -9,9 +9,14 @@ Root lists of different sizes are compared by zero-padding the shorter
 one up to a common width M before taking coefficients.  Zeros leave
 every e_j unchanged (a product containing 0 is 0), so padding never
 alters the values, only the nominal degree.  The padding zeros are
-therefore never built, and the computation skips zero roots outright,
-which makes its cost depend on the number of nonzero roots rather than
-on the padded width.
+therefore never built, and the computation skips zero roots outright.
+
+Cost model: one kernel, :func:`_prefix_esp`, computes every vector.  It
+loops over j = 1 .. count and, per j, does numpy work over the nonzero
+roots of a block of diagrams, so a database costs about count array
+passes over its roots and no per-root interpreter work.  Its values are
+bit for bit those of the scalar loop ``e_j += z * e_{j-1}``, which the
+tests keep as the oracle.
 """
 
 from __future__ import annotations
@@ -20,7 +25,11 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from .transforms import ComplexRootList, transform_diagram
+import numpy as np
+
+from .diagram import _merged
+from .transforms import ComplexRootList, _first_bad_root, _no_root
+from .transforms import transform_columns, transform_diagram
 
 
 @dataclass(frozen=True)
@@ -67,35 +76,71 @@ def default_coefficient_count(width: int) -> int:
     return math.isqrt(width)
 
 
+# roots per kernel block: bounds the kernel's memory whatever the database's size
+_BLOCK_ELEMENTS = 1 << 16
+
+
+def _prefix_esp(re: np.ndarray, im: np.ndarray, count: int) -> np.ndarray:
+    """(e_1, ..., e_count) of each row's roots re + i*im, as a (rows, count) complex array.
+
+    e_j over a row's first s roots is the running sum of z * e_{j-1} over
+    its first s-1: one cumsum per part per j, started from +0.0.  The
+    product is written out as CPython's complex product, and cumsum adds
+    in sequence, so each value is bit for bit the scalar loop's over the
+    row in order.  Zero roots padded at a row's end change no bit: they
+    add +-0.0 to sums that start at +0.0 and so are never -0.0.
+    Overflow leaves non-finite values.
+    """
+    rows, width = re.shape
+    out = np.zeros((rows, count), dtype=complex)
+    prev_re, prev_im = np.ones((rows, width)), np.zeros((rows, width))  # E_{j-1}(s-1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(min(count, width)):
+            acc_re, acc_im = np.zeros((rows, width + 1)), np.zeros((rows, width + 1))
+            np.subtract(re * prev_re, im * prev_im, out=acc_re[:, 1:])
+            np.add(re * prev_im, im * prev_re, out=acc_im[:, 1:])
+            np.cumsum(acc_re, axis=1, out=acc_re)
+            np.cumsum(acc_im, axis=1, out=acc_im)
+            out.real[:, j], out.imag[:, j] = acc_re[:, -1], acc_im[:, -1]
+            prev_re, prev_im = acc_re[:, :-1], acc_im[:, :-1]
+    return out
+
+
+def _overflow(coeffs: np.ndarray) -> tuple[int, OverflowError] | None:
+    """The first row holding a non-finite coefficient, with the error naming the lowest one."""
+    bad = ~np.isfinite(coeffs)
+    if not bad.any():
+        return None
+    row = int(np.argmax(bad.any(axis=1)))
+    return row, OverflowError(f"coefficient {int(np.argmax(bad[row])) + 1} overflowed the float range")
+
+
 def elementary_symmetric(roots: Iterable[complex], count: int) -> tuple[complex, ...]:
     """Return (e_1, ..., e_count) of the given plain root values.
 
-    Incremental update: inserting a root z maps e_j to e_j + z * e_{j-1},
-    applied for j descending so each pass reuses the previous root set's
-    values.  Zero roots are skipped; they contribute nothing to any e_j.
-
-    Raises OverflowError naming the lowest coefficient that left the
-    finite float range.
+    Zero roots are skipped; they contribute nothing to any e_j.  Raises
+    OverflowError naming the lowest coefficient that left the finite
+    float range.
     """
     if count < 0:
         raise ValueError(f"count must be non-negative, got {count}")
-    coeffs = [0j] * (count + 1)
-    coeffs[0] = 1 + 0j
-    seen = 0
-    for z in roots:
-        z = complex(z)
-        if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-            raise ValueError(f"non-finite root {z}")
-        if z == 0:
-            continue
-        seen += 1
-        for j in range(min(seen, count), 0, -1):
-            coeffs[j] += z * coeffs[j - 1]
-    for j in range(1, count + 1):
-        c = coeffs[j]
-        if not (math.isfinite(c.real) and math.isfinite(c.imag)):
-            raise OverflowError(f"coefficient {j} overflowed the float range")
-    return tuple(coeffs[1:])
+    z = np.fromiter(roots, dtype=complex)
+    finite = np.isfinite(z)
+    if not finite.all():
+        raise ValueError(f"non-finite root {complex(z[np.argmin(finite)])}")
+    z = z[z != 0]
+    coeffs = _prefix_esp(z.real[None], z.imag[None], count)
+    if (failure := _overflow(coeffs)) is not None:
+        raise failure[1]
+    return tuple(coeffs[0].tolist())
+
+
+def _checked_count(width: int, count: int | None) -> int:
+    if count is None:
+        count = default_coefficient_count(width)
+    if not 1 <= count <= width:
+        raise ValueError(f"count must be between 1 and the width {width}, got {count}")
+    return count
 
 
 def embed_roots(roots: ComplexRootList, width: int, count: int | None = None) -> CoefficientVector:
@@ -105,11 +150,9 @@ def embed_roots(roots: ComplexRootList, width: int, count: int | None = None) ->
     """
     if roots.width > width:
         raise ValueError(f"cannot pad width {roots.width} down to {width}")
-    if count is None:
-        count = default_coefficient_count(width)
-    if not 1 <= count <= width:
-        raise ValueError(f"count must be between 1 and the width {width}, got {count}")
-    return CoefficientVector(elementary_symmetric(roots.expand(), count), width)
+    count = _checked_count(width, count)
+    z = np.repeat(roots.values, roots.multiplicities)
+    return CoefficientVector(elementary_symmetric(z, count), width)
 
 
 def embed_diagram(diagram, kind: str, width: int, count: int | None = None) -> CoefficientVector:
@@ -120,3 +163,57 @@ def embed_diagram(diagram, kind: str, width: int, count: int | None = None) -> C
     into vectors of one common shape.
     """
     return embed_roots(transform_diagram(diagram, kind), width, count)
+
+
+def _blocks(sizes: list[int]):
+    """Cut ascending sizes into [start, end) runs whose largest is at most twice the
+    smallest and whose rows times largest stays within ``_BLOCK_ELEMENTS``."""
+    start = 0
+    for end in range(1, len(sizes) + 1):
+        if (end == len(sizes) or sizes[end] > 2 * sizes[start]
+                or (end + 1 - start) * sizes[end] > _BLOCK_ELEMENTS):
+            yield start, end
+            start = end
+
+
+def embed_diagrams(diagrams, kind: str, width: int, count: int | None = None) -> list[CoefficientVector]:
+    """``[embed_diagram(d, kind, width, count) for d in diagrams]`` in one array pass.
+
+    The vectors, and the error of the first diagram that fails, are the
+    per-diagram calls'.  All points are transformed at once, one lexsort
+    by (diagram, real, imag) orders and merges the roots as
+    :class:`ComplexRootList` does, and the kernel runs on blocks of
+    diagrams of similar root counts, zero-padded at the row end.
+    """
+    count = _checked_count(width, count)
+    diagrams = list(diagrams)
+    for d in diagrams:
+        if d.total_multiplicity() > width:
+            raise ValueError(f"cannot pad width {d.total_multiplicity()} down to {width}")
+    if not diagrams:
+        return []
+    owner = np.repeat(np.arange(len(diagrams)), [len(d) for d in diagrams])
+    u, v = (np.concatenate([getattr(d, c) for d in diagrams]) for c in ("births", "deaths"))
+    re, im = transform_columns(kind, u, v)
+    bad_point = _first_bad_root(re, im)
+    m = np.concatenate([d.multiplicities for d in diagrams])
+    rows, re, im, m = _merged((owner, re, im), m)
+    nonzero = (re != 0) | (im != 0)
+    rows, re, im = (np.repeat(c[nonzero], m[nonzero]) for c in (rows, re, im))
+    sizes = np.bincount(rows, minlength=len(diagrams))
+    starts = np.cumsum(sizes) - sizes
+    order = np.argsort(sizes, kind="stable")
+    order = order[sizes[order] > 0]
+    coeffs = np.zeros((len(diagrams), count), dtype=complex)
+    for i, j in _blocks(sizes[order].tolist()):
+        block = order[i:j]
+        offsets = np.arange(sizes[block[-1]])
+        inside = offsets < sizes[block, None]
+        at = np.where(inside, starts[block, None] + offsets, 0)
+        coeffs[block] = _prefix_esp(np.where(inside, re[at], 0.0), np.where(inside, im[at], 0.0), count)
+    failure = _overflow(coeffs)
+    if bad_point is not None and (failure is None or owner[bad_point] <= failure[0]):
+        raise _no_root(u[bad_point], v[bad_point], kind)
+    if failure is not None:
+        raise failure[1]
+    return [CoefficientVector(tuple(row), width) for row in coeffs.tolist()]

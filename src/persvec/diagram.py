@@ -68,23 +68,24 @@ def _point_columns(births, deaths, multiplicities=None):
     return b, d, m
 
 
-def _merged(b: np.ndarray, d: np.ndarray, m: np.ndarray):
-    """Sort points by (birth, death), summing the multiplicities of coincident ones.
+def _merged(keys: tuple[np.ndarray, ...], m: np.ndarray):
+    """Sort rows by ``keys`` (most significant first), summing the multiplicities of
+    rows equal in every key; return the sorted keys and multiplicities.
 
-    The sort is stable and -0.0 == 0.0, so each merged point keeps the
-    coordinates of its first input point, as a dict keyed by the pair would.
+    The sort is stable and -0.0 == 0.0, so each merged row keeps the key values
+    of its first input row, as a dict keyed by them would.
     """
-    order = np.lexsort((d, b))
-    b, d, m = b[order], d[order], m[order]
-    first = np.ones(len(b), dtype=bool)
-    first[1:] = (b[1:] != b[:-1]) | (d[1:] != d[:-1])
+    order = np.lexsort(keys[::-1])
+    keys, m = [k[order] for k in keys], m[order]
+    first = np.ones(len(m), dtype=bool)
+    first[1:] = np.logical_or.reduce([k[1:] != k[:-1] for k in keys])
     starts = np.flatnonzero(first)
-    if len(starts) == len(b):
-        return b, d, m
+    if len(starts) == len(m):
+        return (*keys, m)
     if int(m.max()) > (_LIMIT - 1) // len(m):  # int64 sums could wrap: add exactly
         if max(np.add.reduceat(m.astype(object), starts)) >= _LIMIT:
             raise ValueError("a merged multiplicity does not fit a 64-bit integer")
-    return b[starts], d[starts], np.add.reduceat(m, starts)
+    return (*(k[starts] for k in keys), np.add.reduceat(m, starts))
 
 
 @dataclass(frozen=True, order=True)
@@ -131,7 +132,8 @@ class PersistenceDiagram:
     ) -> None:
         if essential_count < 0:
             raise ValueError("essential_count must be non-negative")
-        columns = _merged(*_point_columns(births, deaths, multiplicities))
+        b, d, m = _point_columns(births, deaths, multiplicities)
+        columns = _merged((b, d), m)
         for name, column in zip(self.__slots__, columns):
             column.flags.writeable = False
             object.__setattr__(self, name, column)

@@ -27,7 +27,8 @@ from typing import Mapping
 import numpy as np
 import orjson
 
-from .coefficients import CoefficientVector, default_coefficient_count, embed_diagram
+from .coefficients import CoefficientVector, embed_diagrams
+from .coefficients import embed_diagram  # noqa: F401 -- perfbench's tracer wraps it here
 from .diagram import PersistenceDiagram, _BadRow, _records
 from .metrics import COEFFICIENT_METRICS, _coefficient_rows, bottleneck_distance
 from .metrics import coefficient_distance  # noqa: F401 -- perfbench's tracer wraps it here
@@ -168,16 +169,15 @@ def embed_database(
     """
     if not db.entries:
         raise ValueError("cannot embed an empty database")
-    width = max(d.total_multiplicity() for d in _diagrams(db.entries, "to embed"))
+    diagrams = _diagrams(db.entries, "to embed")
+    width = max(d.total_multiplicity() for d in diagrams)
     if width == 0:
         raise ValueError("every diagram in the database is empty; nothing to embed")
-    if count is None:
-        count = default_coefficient_count(width)
-    entries = []
-    for e in db.entries:
-        vectors = {**e.vectors, kind: embed_diagram(e.diagram, kind, width, count)}
-        entries.append(DatabaseEntry(e.model_id, e.label, e.diagram, vectors))
-    return LabeledDatabase(tuple(entries))
+    vectors = embed_diagrams(diagrams, kind, width, count)
+    return LabeledDatabase(tuple(
+        DatabaseEntry(e.model_id, e.label, e.diagram, {**e.vectors, kind: vec})
+        for e, vec in zip(db.entries, vectors)
+    ))
 
 
 def _diagrams(entries, purpose: str) -> list[PersistenceDiagram]:

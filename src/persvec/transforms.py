@@ -14,13 +14,20 @@ tokens used by the CLI and the index file format:
 
 ``S`` and ``T`` both vanish on the diagonal, which makes the resulting
 coefficient vectors stable against low-persistence noise; ``R`` does not.
+
+The scalar maps are the reference; :func:`transform_columns` maps whole
+columns of points with the same float operations, bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
+
+import numpy as np
+
+from .diagram import _merged
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -41,40 +48,57 @@ class ComplexRoot:
             )
 
 
-@dataclass(frozen=True)
 class ComplexRootList:
-    """Multiset of complex roots.
+    """Multiset of complex roots as read-only columns: ``values`` (complex128)
+    and ``multiplicities`` (int64), one entry per distinct root, sorted by
+    (real, imag).
 
-    Roots with exactly equal values are merged on construction (summing
-    multiplicities) and the result is sorted by (real, imag) so equal
-    multisets compare equal.  ``width`` counts roots with multiplicity;
-    it is the degree of the polynomial having these roots.
+    Exactly equal roots merge on construction, summing multiplicities and
+    keeping the first value seen (0.0 and -0.0 parts merge), so equal
+    multisets compare equal.  ``width`` counts roots with multiplicity; it
+    is the degree of the polynomial having these roots.  ``roots`` builds
+    :class:`ComplexRoot` objects on demand.
     """
 
-    roots: tuple[ComplexRoot, ...] = ()
+    __slots__ = ("values", "multiplicities")
 
-    def __post_init__(self) -> None:
-        merged: dict[complex, int] = {}
-        for r in self.roots:
-            merged[r.value] = merged.get(r.value, 0) + r.multiplicity
-        ordered = sorted(merged.items(), key=lambda kv: (kv[0].real, kv[0].imag))
-        object.__setattr__(
-            self, "roots", tuple(ComplexRoot(v, m) for v, m in ordered)
-        )
+    def __init__(self, roots: Iterable[ComplexRoot] = ()) -> None:
+        roots = tuple(roots)
+        values = np.array([r.value for r in roots], dtype=complex)
+        self._merge(values.real, values.imag, np.array([r.multiplicity for r in roots], np.int64))
+
+    @classmethod
+    def _from_columns(cls, re, im, multiplicities) -> "ComplexRootList":
+        """Roots re + i*im, already checked finite, with multiplicities >= 1."""
+        roots = cls.__new__(cls)
+        roots._merge(re, im, multiplicities)
+        return roots
+
+    def _merge(self, re, im, multiplicities) -> None:
+        re, im, self.multiplicities = _merged((re, im), multiplicities)
+        self.values = re.astype(complex)
+        self.values.imag = im
+        self.values.flags.writeable = self.multiplicities.flags.writeable = False
+
+    @property
+    def roots(self) -> tuple[ComplexRoot, ...]:
+        return tuple(map(ComplexRoot, self.values.tolist(), self.multiplicities.tolist()))
 
     @property
     def width(self) -> int:
-        return sum(r.multiplicity for r in self.roots)
+        return sum(self.multiplicities.tolist())
 
     def expand(self) -> list[complex]:
         """Roots repeated by multiplicity, in sorted order."""
-        out: list[complex] = []
-        for r in self.roots:
-            out.extend([r.value] * r.multiplicity)
-        return out
+        return np.repeat(self.values, self.multiplicities).tolist()
 
     def __len__(self) -> int:
-        return len(self.roots)
+        return len(self.values)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ComplexRootList):
+            return NotImplemented
+        return self.roots == other.roots
 
 
 def _check_point(u: float, v: float) -> None:
@@ -82,6 +106,10 @@ def _check_point(u: float, v: float) -> None:
         raise ValueError(f"non-finite point ({u}, {v})")
     if u > v:
         raise ValueError(f"point ({u}, {v}) lies below the diagonal")
+
+
+def _no_root(u: float, v: float, kind: str) -> ValueError:
+    return ValueError(f"point ({u}, {v}) lies too far from the origin for a finite {kind} root")
 
 
 def embed_raw(u: float, v: float) -> complex:
@@ -94,13 +122,19 @@ def embed_radial(u: float, v: float) -> complex:
     """Keep the direction of u + iv, set the modulus to (v - u) / sqrt(2).
 
     The origin has no direction; (0, 0) maps to 0, which is also the
-    limit along the diagonal.
+    limit along the diagonal.  The root's parts are at most |u| and |v|,
+    so every point has a finite root: where hypot(u, v) or v - u leaves
+    the float range, the scale factor, which does not change when u and
+    v are scaled together, is taken from (u/4, v/4).
     """
     _check_point(u, v)
     alpha = math.hypot(u, v)
     if alpha == 0.0:
         return 0j
-    scale = (v - u) / (alpha * _SQRT2)
+    gap, denom = v - u, alpha * _SQRT2
+    if math.isinf(gap) or math.isinf(denom):
+        gap, denom = v / 4 - u / 4, math.hypot(u / 4, v / 4) * _SQRT2
+    scale = gap / denom
     return complex(scale * u, scale * v)
 
 
@@ -111,13 +145,18 @@ def embed_winding(u: float, v: float) -> complex:
     with a = hypot(u, v), which equals (v - u)/2 * (1 + i) * e^{ia}.
     Unlike :func:`embed_radial` this map is continuous at the origin but
     identifies points whose distances from the origin differ by 2*pi at
-    equal diagonal gap.
+    equal diagonal gap.  A point whose distance from the origin or whose
+    root leaves the float range raises ValueError.
     """
     _check_point(u, v)
     alpha = math.hypot(u, v)
-    half_gap = (v - u) / 2.0
-    c, s = math.cos(alpha), math.sin(alpha)
-    return complex(half_gap * (c - s), half_gap * (c + s))
+    if math.isfinite(alpha):
+        half_gap = (v - u) / 2.0
+        c, s = math.cos(alpha), math.sin(alpha)
+        z = complex(half_gap * (c - s), half_gap * (c + s))
+        if math.isfinite(z.real) and math.isfinite(z.imag):
+            return z
+    raise _no_root(u, v, "T")
 
 
 TRANSFORMS: dict[str, Callable[[float, float], complex]] = {
@@ -140,6 +179,45 @@ def transform_point(kind: str, u: float, v: float) -> complex:
     return get_transform(kind)(u, v)
 
 
+def _map(fn, *columns: np.ndarray) -> np.ndarray:
+    # math, not numpy: np.hypot, for one, differs from math.hypot in the
+    # last bit on some inputs, and the roots must be the scalar maps' floats
+    return np.fromiter(map(fn, *(c.tolist() for c in columns)), float, len(columns[0]))
+
+
+def transform_columns(kind: str, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of the ``kind`` roots of the points (u, v).
+
+    Valid points (finite, u <= v) only.  Every root equals, bit for bit,
+    the one the scalar map in ``TRANSFORMS`` returns: the same operations
+    run in the same order, elementwise.  A point the scalar map rejects
+    (a T point too far out) gets a non-finite root.
+    """
+    get_transform(kind)
+    if kind == "R":
+        return u, v
+    alpha = _map(math.hypot, u, v)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if kind == "S":
+            gap, denom = v - u, alpha * _SQRT2
+            far = np.isinf(gap) | np.isinf(denom)
+            uf, vf = u[far] / 4, v[far] / 4
+            gap[far], denom[far] = vf - uf, _map(math.hypot, uf, vf) * _SQRT2
+            scale = gap / denom
+            re, im = scale * u, scale * v
+            re[alpha == 0.0] = im[alpha == 0.0] = 0.0
+            return re, im
+        alpha[np.isinf(alpha)] = np.nan  # math.cos(inf) raises, cos(nan) is nan
+        half_gap = (v - u) / 2.0
+        c, s = _map(math.cos, alpha), _map(math.sin, alpha)
+        return half_gap * (c - s), half_gap * (c + s)
+
+
+def _first_bad_root(re: np.ndarray, im: np.ndarray) -> int | None:
+    bad = ~(np.isfinite(re) & np.isfinite(im))
+    return int(np.argmax(bad)) if bad.any() else None
+
+
 def transform_diagram(diagram, kind: str) -> ComplexRootList:
     """Map every diagram point to a root, carrying multiplicities.
 
@@ -147,6 +225,8 @@ def transform_diagram(diagram, kind: str) -> ComplexRootList:
     so the list's width never exceeds (and normally equals) the
     diagram's total multiplicity.
     """
-    fn = get_transform(kind)
-    columns = (diagram.births.tolist(), diagram.deaths.tolist(), diagram.multiplicities.tolist())
-    return ComplexRootList(tuple(ComplexRoot(fn(u, v), m) for u, v, m in zip(*columns)))
+    u, v = diagram.births, diagram.deaths
+    re, im = transform_columns(kind, u, v)
+    if (i := _first_bad_root(re, im)) is not None:
+        raise _no_root(u[i], v[i], kind)
+    return ComplexRootList._from_columns(re, im, diagram.multiplicities)

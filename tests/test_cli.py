@@ -4,9 +4,11 @@ Everything goes through ``main(argv)`` with real files in tmp_path, the
 same way a shell user would drive it.
 """
 
+import hashlib
 import os
 import random
 
+import numpy as np
 import pytest
 
 from persvec.cli import main
@@ -20,6 +22,7 @@ from persvec.retrieval import (
     serialize_labels,
     two_stage_query,
 )
+from persvec.transforms import embed_radial
 
 
 def run(*argv):
@@ -455,3 +458,102 @@ def test_overflowing_distances_give_no_warning_lines(tmp_path, capsys):
     assert capsys.readouterr().err == ""
     assert run("dist", "--diagrams", str(d), "--metric", "bottleneck", "--out", str(out)) == 0
     assert capsys.readouterr().err == ""
+
+
+def sphere_grid_off(rng, n_lat, n_lon):
+    """OFF text of a noisy, bulged latitude/longitude sphere grid (no pole vertices)."""
+    theta = (np.arange(n_lat) + 0.5) * (np.pi / n_lat)
+    phi = np.arange(n_lon) * (2.0 * np.pi / n_lon)
+    th, ph = np.meshgrid(theta, phi, indexing="ij")
+    radius = 1.0 + 0.3 * np.maximum(np.cos(th), 0.0) + 0.03 * rng.standard_normal(th.shape)
+    verts = np.stack([radius * np.sin(th) * np.cos(ph), radius * np.sin(th) * np.sin(ph),
+                      radius * np.cos(th)], axis=-1).reshape(-1, 3)
+    i, j = np.meshgrid(np.arange(n_lat - 1), np.arange(n_lon), indexing="ij")
+    v00, v01 = i * n_lon + j, i * n_lon + (j + 1) % n_lon
+    tris = np.concatenate([np.stack([v00, v00 + n_lon, v01 + n_lon], axis=-1).reshape(-1, 3),
+                           np.stack([v00, v01 + n_lon, v01], axis=-1).reshape(-1, 3)])
+    lines = ["OFF", f"{len(verts)} {len(tris)} 0"]
+    lines += ["%.6f %.6f %.6f" % tuple(v) for v in verts.tolist()]
+    lines += ["3 %d %d %d" % tuple(t) for t in tris.tolist()]
+    return "\n".join(lines) + "\n"
+
+
+# SHA-256 of the index files `embed` wrote before embedding became one array
+# pass; the array pass must reproduce every byte
+INDEX_SHA256 = {
+    ("synth", "R", None):
+        "bb2274b180e17f277b7350eabf060faad7c81a2be5e7d25d3df0ee6c7df14c5b",
+    ("synth", "S", None):
+        "35c8d626af26743309b94e4d57ff629d4709f2b14d0e1a78669d9a0ad715e9f6",
+    ("synth", "T", None):
+        "7956eb832623d5017adc4be4326eb29afcae320f50c5fb4bf35fb13f24aca017",
+    ("synth", "S", "36"):
+        "5e83b3eb754cb1221b1cb6902b64cbf137e26fe50767d61e901d362d29fc0b7a",
+    ("mesh", "R", None):
+        "af356f9f526fa04dbd63c5ccd16572db700f5bbc0f7871b5bd7092ad99d629ce",
+    ("mesh", "S", None):
+        "3e54cb6569e28b3db0741f903a9631e04d838c9b737dc16f6e5d448dfb75c4ec",
+    ("mesh", "T", None):
+        "a356e0acde879289f76fe807973c431f960940758c983cc29cb60a6bdff499be",
+    ("mesh", "T", "40"):
+        "d6d0fdb9d2579bdc8898cc9ab5ab93f56afcb456b2027080c99cb87ecee3859b",
+}
+
+
+def test_index_bytes_are_pinned(tmp_path):
+    synth, mesh = tmp_path / "synth", tmp_path / "mesh"
+    assert run("synth", "--classes", "3", "--per-class", "4", "--noise-points", "30",
+               "--seed", "7", "--out", str(synth)) == 0
+    mesh.mkdir()
+    rng = np.random.default_rng(3)
+    for i, (n_lat, n_lon) in enumerate([(20, 30), (24, 32), (28, 36), (30, 40), (16, 24)]):
+        off = tmp_path / f"m{i}.off"
+        off.write_text(sphere_grid_off(rng, n_lat, n_lon))
+        assert run("diagram", "--mesh", str(off), "--filter", ("line", "plane")[i % 2],
+                   "--out", str(mesh / f"m{i}.csv")) == 0
+    got = {}
+    for db, kind, k in INDEX_SHA256:
+        out = tmp_path / "index.csv"
+        assert run("embed", "--diagrams", str(tmp_path / db), "--transform", kind,
+                   *(("-k", k) if k else ()), "--out", str(out)) == 0
+        got[db, kind, k] = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert got == INDEX_SHA256
+
+
+def test_far_points_under_s_and_t(tmp_path, capsys):
+    d = tmp_path / "db"
+    d.mkdir()
+    (d / "a.csv").write_text("0,1\n")
+    (d / "b.csv").write_text("0,2\n1e308,1.5e308\n")
+    index = tmp_path / "index.csv"
+    capsys.readouterr()
+    # S keeps the far point: its root is finite and it enters the coefficients
+    assert run("embed", "--diagrams", str(d), "--transform", "S", "--out", str(index)) == 0
+    assert capsys.readouterr().err == ""
+    b = load_index(str(index)).entry("b").vectors["S"]
+    assert b.coefficients[0] == embed_radial(0, 2) + embed_radial(1e308, 1.5e308) != embed_radial(0, 2)
+    # T has no finite root for it: one error line naming the point, no index
+    out = tmp_path / "t.csv"
+    code = run("embed", "--diagrams", str(d), "--transform", "T", "--out", str(out))
+    err = capsys.readouterr().err
+    check_exit(code, err, out, err)
+    assert err == "error: point (1e+308, 1.5e+308) lies too far from the origin for a finite T root\n"
+
+
+def test_first_overflowing_diagram_in_database_order_is_reported(tmp_path, capsys):
+    # b (40 points, |z| ~ 2e80) overflows at e_4 and sits in a later kernel block
+    # than c (4 points, |z| ~ 2e200), which overflows already at e_2
+    d = tmp_path / "db"
+    d.mkdir()
+    (d / "a.csv").write_text("0,1\n0,2\n1,3\n")
+    (d / "b.csv").write_text("".join(f"{1 + i / 64}e80,{2 + i / 64}e80\n" for i in range(40)))
+    (d / "c.csv").write_text("".join(f"{1 + i / 8}e200,{2 + i / 8}e200\n" for i in range(4)))
+    out = tmp_path / "index.csv"
+    capsys.readouterr()
+    code = run("embed", "--diagrams", str(d), "--transform", "R", "--out", str(out))
+    err = capsys.readouterr().err
+    check_exit(code, err, out, err)
+    assert err == "error: coefficient 4 overflowed the float range\n"
+    (d / "b.csv").unlink()
+    assert run("embed", "--diagrams", str(d), "--transform", "R", "--out", str(out)) == 1
+    assert capsys.readouterr().err == "error: coefficient 2 overflowed the float range\n"

@@ -3,18 +3,27 @@ import itertools
 import math
 import random
 
-import mpmath
-import pytest
+from unittest import mock
 
+import mpmath
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from persvec import coefficients
 from persvec.coefficients import (
     CoefficientVector,
+    _overflow,
+    _prefix_esp,
     default_coefficient_count,
     elementary_symmetric,
     embed_diagram,
+    embed_diagrams,
     embed_roots,
 )
 from persvec.diagram import PersistenceDiagram
-from persvec.transforms import ComplexRoot, ComplexRootList, transform_diagram
+from persvec.transforms import TRANSFORMS, ComplexRoot, ComplexRootList, transform_diagram
 
 
 def esp_bruteforce(roots, count):
@@ -198,3 +207,146 @@ def test_vector_validation():
         CoefficientVector((), width=3)  # at least one coefficient
     with pytest.raises(ValueError):
         CoefficientVector((1j, 2j), width=1)  # more coefficients than width
+
+
+# ------------------------------------------------ the kernel against its oracle
+
+
+def scalar_esp(roots, count):
+    """The scalar recurrence the kernel reproduces bit for bit: for each nonzero
+    root z in order, e_j += z * e_{j-1} for j descending."""
+    coeffs = [0j] * (count + 1)
+    coeffs[0] = 1 + 0j
+    seen = 0
+    for z in roots:
+        if z == 0:
+            continue
+        seen += 1
+        for j in range(min(seen, count), 0, -1):
+            coeffs[j] += z * coeffs[j - 1]
+    for j in range(1, count + 1):
+        if not cmath.isfinite(coeffs[j]):
+            raise OverflowError(f"coefficient {j} overflowed the float range")
+    return tuple(coeffs[1:])
+
+
+def dict_merged(pairs):
+    """(value, multiplicity) pairs merged by a dict keyed by value, which keeps the
+    first value seen, sorted by (real, imag) and expanded by multiplicity."""
+    merged = {}
+    for z, m in pairs:
+        merged[z] = merged.get(z, 0) + m
+    ordered = sorted(merged.items(), key=lambda kv: (kv[0].real, kv[0].imag))
+    return [z for z, m in ordered for _ in range(m)]
+
+
+def bits(values):
+    """Exact floats of complex values, sign of zero included."""
+    return [(complex(z).real.hex(), complex(z).imag.hex()) for z in values]
+
+
+def outcome(fn, *args):
+    """Bits of fn's coefficients, or the type and text of the error it raised."""
+    try:
+        result = fn(*args)
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+    return bits(result.coefficients if isinstance(result, CoefficientVector) else result)
+
+
+PARTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.5, 5e-324, 1e-200, 1e200, -1e200, 1e308]),
+    st.floats(-4, 4),
+)
+ROOTS = st.lists(st.builds(complex, PARTS, PARTS), max_size=14)
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(st.lists(ROOTS, min_size=1, max_size=6), st.integers(0, 18))
+def test_kernel_is_the_scalar_loop_bit_for_bit(rows, count):
+    # one row at a time through the public function ...
+    for row in rows:
+        assert outcome(elementary_symmetric, row, count) == outcome(scalar_esp, row, count)
+    # ... and all rows at once, zero-padded at the row end to the longest
+    nonzero = [[z for z in row if z != 0] for row in rows]
+    width = max(map(len, nonzero))
+    block = np.zeros((len(rows), width), dtype=complex)
+    for i, row in enumerate(nonzero):
+        block[i, : len(row)] = row
+    got = _prefix_esp(block.real.copy(), block.imag.copy(), count)
+    for i, row in enumerate(rows):
+        failure = _overflow(got[i : i + 1])
+        got_row = (OverflowError, str(failure[1])) if failure else bits(got[i])
+        assert got_row == outcome(scalar_esp, row, count)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.builds(complex, PARTS, PARTS), st.integers(1, 3)), max_size=10),
+       st.integers(1, 12))
+def test_root_list_merges_as_a_dict_and_embeds_as_the_loop(pairs, count):
+    roots = ComplexRootList(ComplexRoot(z, m) for z, m in pairs)
+    expanded = dict_merged(pairs)
+    assert bits(roots.expand()) == bits(expanded)
+    width = max(roots.width, count)
+    assert outcome(embed_roots, roots, width, count) == outcome(scalar_esp, expanded, count)
+
+
+COORDS = [-2.0, -0.0, 0.0, 1e-300, 0.25, 0.5, 1.0, 3.0, 1e150]
+
+
+@st.composite
+def diagram_lists(draw):
+    """1-6 diagrams of 0-12 points from a small coordinate pool (so points and
+    roots repeat), multiplicities 1-3, now and then a point far out."""
+    diagrams = []
+    for _ in range(draw(st.integers(1, 6))):
+        pts = []
+        for _ in range(draw(st.integers(0, 12))):
+            u = draw(st.sampled_from(COORDS))
+            v = u + draw(st.sampled_from([1e-9, 0.25, 1.0, 2.0, 1e100]))
+            if v > u:  # 1e150 + 1e-9 rounds back to 1e150
+                pts.append((u, v, draw(st.integers(1, 3))))
+        if draw(st.integers(0, 9)) == 0:
+            pts.append((1e308, 1.5e308, 1))
+        diagrams.append(PersistenceDiagram.from_pairs(pts))
+    return diagrams
+
+
+def former_embed_diagrams(diagrams, kind, width, count):
+    """Diagram by diagram as embedding worked before the array pass: scalar map
+    per point, dict merge, scalar loop; the first diagram to fail raises."""
+    fn = TRANSFORMS[kind]
+    vectors = []
+    for d in diagrams:
+        pairs = [(fn(p.birth, p.death), p.multiplicity) for p in d.points]
+        vectors.append(scalar_esp(dict_merged(pairs), count))
+    return [z for vec in vectors for z in vec]
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(diagram_lists(), st.sampled_from("RST"), st.integers(1, 40), st.sampled_from([6, 1 << 16]))
+def test_database_pass_equals_diagram_by_diagram(diagrams, kind, count, budget):
+    width = max(40, *(d.total_multiplicity() for d in diagrams))
+
+    def one_pass():
+        with mock.patch.object(coefficients, "_BLOCK_ELEMENTS", budget):
+            vectors = embed_diagrams(diagrams, kind, width, count)
+        assert all(vec.width == width for vec in vectors)
+        return [z for vec in vectors for z in vec.coefficients]
+
+    want = outcome(former_embed_diagrams, diagrams, kind, width, count)
+    assert outcome(one_pass) == want
+    if not isinstance(want[0], type):  # no error: the one-diagram API agrees too
+        singles = [embed_diagram(d, kind, width, count).coefficients for d in diagrams]
+        assert bits(z for vec in singles for z in vec) == want
+
+
+def test_database_pass_edge_cases():
+    empty, single = PersistenceDiagram(), PersistenceDiagram.from_pairs([(0, 2)])
+    assert embed_diagrams([], "R", 3) == []
+    assert [v.coefficients for v in embed_diagrams([empty, single], "R", 4, 3)] == [
+        (0j, 0j, 0j), (2j, 0j, 0j)]
+    with pytest.raises(ValueError, match="cannot pad width 2 down to 1"):
+        embed_diagrams([PersistenceDiagram.from_pairs([(0, 1, 2)])], "R", 1)
+    with pytest.raises(ValueError, match="count"):
+        embed_diagrams([single], "R", 1, 2)

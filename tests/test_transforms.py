@@ -1,16 +1,20 @@
 import math
 import random
 
+import mpmath
+import numpy as np
 import pytest
 
 from persvec.diagram import PersistenceDiagram
 from persvec.transforms import (
+    TRANSFORMS,
     ComplexRoot,
     ComplexRootList,
     embed_radial,
     embed_raw,
     embed_winding,
     get_transform,
+    transform_columns,
     transform_diagram,
     transform_point,
 )
@@ -133,3 +137,61 @@ def test_transform_point_dispatch():
     assert transform_point("R", 0, 2) == 2j
     assert transform_point("S", 0, 2) == embed_radial(0, 2)
     assert transform_point("T", 0, 2) == embed_winding(0, 2)
+
+
+def test_root_list_keeps_the_first_signed_zero_it_sees():
+    rl = ComplexRootList((ComplexRoot(complex(-0.0, 1.0)), ComplexRoot(complex(0.0, 1.0), 2)))
+    assert [math.copysign(1.0, z.real) for z in rl.expand()] == [-1.0] * 3
+    assert rl == ComplexRootList((ComplexRoot(1j, 3),))
+    assert ComplexRootList().width == 0 and ComplexRootList().expand() == []
+
+
+GRID = [-1.7e308, -1e308, -1e300, -1.5, -1.0, -0.0, 0.0, 5e-324, 1e-300, 0.5, 1.0,
+        2.0, 1e300, 1e308, 1.5e308, 1.7e308]
+
+
+def test_column_transforms_equal_the_scalar_maps_cell_by_cell():
+    # math.hypot, math.cos and math.sin go through map in the column
+    # transforms, and numpy does only + - * /, because np.hypot is not
+    # math.hypot: it differs in the last bit on some pairs (12 of the 2000
+    # random pairs below on an x86-64 host with numpy 2.4), which would
+    # change the roots and so the index bytes.
+    pairs = [(u, v) for u in GRID for v in GRID if u <= v]
+    pairs += [(x, math.nextafter(x, math.inf)) for x in GRID]  # next to the diagonal
+    rng = random.Random(8)
+    pairs += [(u, u + rng.uniform(0, 4)) for u in (rng.uniform(-3, 3) for _ in range(2000))]
+    u, v = (np.array(c) for c in zip(*pairs))
+    for kind, scalar in TRANSFORMS.items():
+        re, im = transform_columns(kind, u, v)
+        for i, (a, b) in enumerate(pairs):
+            try:
+                z = scalar(a, b)
+            except ValueError:  # no finite root: the column holds a non-finite one
+                assert not (math.isfinite(re[i]) and math.isfinite(im[i])), (kind, a, b)
+                continue
+            assert (re[i].hex(), im[i].hex()) == (z.real.hex(), z.imag.hex()), (kind, a, b)
+
+
+@pytest.mark.parametrize("u, v", [
+    (1e308, 1.5e308), (-1e308, 1e308), (-1.7e308, 1.7e308), (0.0, 1.7e308),
+    (-1.79e308, -1e308), (1.6e308, 1.79e308), (-1.79e308, 1.79e308), (5e-324, 1.7e308),
+])
+def test_radial_root_of_a_far_point_is_its_formula(u, v):
+    # (v - u) / sqrt(2) * (u + iv) / hypot(u, v), at 50 digits; a part below
+    # the normal range is off by at most the smallest subnormal, 5e-324
+    z = embed_radial(u, v)
+    with mpmath.workdps(50):
+        mu, mv = mpmath.mpf(u), mpmath.mpf(v)
+        scale = (mv - mu) / (mpmath.sqrt(2) * mpmath.sqrt(mu * mu + mv * mv))
+        for got, exact in ((z.real, scale * mu), (z.imag, scale * mv)):
+            assert abs(mpmath.mpf(got) - exact) <= 1e-15 * abs(exact) + 5e-324, (u, v, z)
+
+
+def test_winding_rejects_a_far_point_naming_it():
+    for u, v in ((1e308, 1.5e308), (-1e308, 1e308)):
+        message = f"point ({u}, {v}) lies too far from the origin for a finite T root"
+        with pytest.raises(ValueError) as scalar:
+            embed_winding(u, v)
+        with pytest.raises(ValueError) as columns:
+            transform_diagram(PersistenceDiagram.from_pairs([(0, 1), (u, v)]), "T")
+        assert str(scalar.value) == str(columns.value) == message
