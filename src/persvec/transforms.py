@@ -182,7 +182,7 @@ def transform_point(kind: str, u: float, v: float) -> complex:
 def _map(fn, *columns: np.ndarray) -> np.ndarray:
     # math, not numpy: np.hypot, for one, differs from math.hypot in the
     # last bit on some inputs, and the roots must be the scalar maps' floats
-    return np.fromiter(map(fn, *(c.tolist() for c in columns)), float, len(columns[0]))
+    return np.fromiter(map(fn, *columns), float, len(columns[0]))
 
 
 def transform_columns(kind: str, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
