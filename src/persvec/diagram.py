@@ -6,8 +6,8 @@ stored as read-only columns ``births``, ``deaths`` (float64) and
 ``multiplicities`` (int64), one entry per distinct point in (birth,
 death) order.  Points whose class never dies are not stored; parsing
 counts them in ``essential_count``.  Every way of building a diagram or
-a :class:`PersistencePoint` checks points in one function,
-:func:`_point_columns`.
+a :class:`PersistencePoint` checks points in :func:`_point_columns`,
+and every multiplicity is checked by :func:`_exact_multiplicity`.
 
 File format: CSV rows ``birth,death,multiplicity`` (multiplicity
 optional, default 1), ``#`` comment lines allowed, UTF-8, LF endings.
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -34,7 +34,7 @@ class _BadRow(ValueError):
 
 
 def _exact_multiplicity(x) -> int:
-    """``x`` as an int if it is an integer (or integral float) from 1 to 2**63 - 1, else 0."""
+    """The multiplicity rule: ``x`` as an int if it equals an int from 1 to 2**63 - 1, else 0."""
     if isinstance(x, np.generic):
         x = x.item()
     if isinstance(x, (int, float)) and 1 <= x < _LIMIT and x == int(x):
@@ -127,17 +127,15 @@ class PersistenceDiagram:
 
     __slots__ = ("births", "deaths", "multiplicities", "essential_count")
 
-    def __init__(
-        self, births=(), deaths=(), multiplicities=None, essential_count: int = 0
-    ) -> None:
-        if essential_count < 0:
-            raise ValueError("essential_count must be non-negative")
+    def __init__(self, births=(), deaths=(), multiplicities=None, essential_count: int = 0) -> None:
+        if not (essential := _exact_multiplicity(essential_count)) and essential_count != 0:
+            raise ValueError(f"essential_count {essential_count!r} is not an integer in [0, 2**63)")
         b, d, m = _point_columns(births, deaths, multiplicities)
         columns = _merged((b, d), m)
         for name, column in zip(self.__slots__, columns):
             column.flags.writeable = False
             object.__setattr__(self, name, column)
-        object.__setattr__(self, "essential_count", essential_count)
+        object.__setattr__(self, "essential_count", essential)
 
     @classmethod
     def from_pairs(
@@ -193,6 +191,40 @@ def _records(text: str) -> Iterator[tuple[int, str]]:
             yield lineno, line
 
 
+def _parse_rows(records: Iterable[tuple[int, str]], read: Callable, build: Callable):
+    """``build(rows)`` of the rows ``read(line)`` makes (None: no row); errors name the first bad
+    line.  ``build`` raises ``_BadRow(message, i)`` for row i, and runs on the rows before a
+    line ``read`` rejects, so a bad row on an earlier line is reported first."""
+    rows, linenos = [], []
+
+    def built():
+        try:
+            return build(rows)
+        except _BadRow as exc:
+            raise ValueError(f"line {linenos[exc.args[1]]}: {exc}") from None
+
+    for lineno, line in records:
+        try:
+            row = read(line)
+        except ValueError as exc:
+            built()
+            raise ValueError(f"line {lineno}: {exc}") from None
+        if row is not None:
+            rows.append(row)
+            linenos.append(lineno)
+    return built()
+
+
+def _integer(text: str) -> int:
+    """The integer ``text`` spells, as ``2`` or as ``2.0``; else ValueError."""
+    try:
+        return int(text)
+    except ValueError:
+        if (x := float(text)).is_integer():
+            return int(x)
+        raise
+
+
 def parse_diagram(text: str) -> PersistenceDiagram:
     """Parse diagram CSV.
 
@@ -200,46 +232,33 @@ def parse_diagram(text: str) -> PersistenceDiagram:
     dropped; the other rows are points, validated and merged by the
     :class:`PersistenceDiagram` constructor.  Raises ValueError naming the
     first bad line: a malformed row, an invalid point, or an essential row
-    with a non-finite birth or a multiplicity below 1.
+    with a non-finite birth or a multiplicity (or running total) off the rule.
     """
-    births: list[float] = []
-    deaths: list[float] = []
-    mults: list[int] = []
-    linenos: list[int] = []
     essential = 0
 
-    def build() -> PersistenceDiagram:
-        try:
-            return PersistenceDiagram(births, deaths, mults, essential)
-        except _BadRow as exc:
-            raise ValueError(f"line {linenos[exc.args[1]]}: {exc}") from None
-
-    def bad_line(lineno: int, message: str) -> ValueError:
-        build()  # an invalid point on an earlier line is reported first
-        return ValueError(f"line {lineno}: {message}")
-
-    for lineno, line in _records(text):
+    def read(line: str):
+        nonlocal essential
         fields = line.split(",")
         if len(fields) not in (2, 3):
-            raise bad_line(lineno, f"expected 2 or 3 fields, got {len(fields)}")
+            raise ValueError(f"expected 2 or 3 fields, got {len(fields)}")
         try:
             birth, death = float(fields[0]), float(fields[1])
         except ValueError:
-            raise bad_line(lineno, f"malformed number in {line!r}") from None
+            raise ValueError(f"malformed number in {line!r}") from None
         try:
-            mult = int(fields[2]) if len(fields) == 3 else 1
+            mult = _integer(fields[2]) if len(fields) == 3 else 1
         except ValueError:
-            raise bad_line(lineno, f"malformed multiplicity {fields[2].strip()!r}") from None
-        if death == math.inf:
-            if not (math.isfinite(birth) and mult >= 1):
-                raise bad_line(lineno, "an essential row needs a finite birth and multiplicity >= 1")
-            essential += mult
-        else:
-            births.append(birth)
-            deaths.append(death)
-            mults.append(mult)
-            linenos.append(lineno)
-    return build()
+            raise ValueError(f"malformed multiplicity {fields[2].strip()!r}") from None
+        if death != math.inf:
+            return birth, death, mult
+        if not (math.isfinite(birth) and _exact_multiplicity(mult)
+                and _exact_multiplicity(essential + mult)):
+            raise ValueError("an essential row needs a finite birth and a multiplicity "
+                             "from 1 to 2**63 - 1, also summed over the essential rows")
+        essential += mult
+
+    return _parse_rows(_records(text), read,
+                       lambda rows: PersistenceDiagram.from_pairs(rows, essential))
 
 
 def serialize_diagram(diagram: PersistenceDiagram) -> str:

@@ -23,6 +23,7 @@ from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from .coefficients import CoefficientVector
 from .diagram import PersistenceDiagram
+from .transforms import _check_point
 
 COEFFICIENT_METRICS = ("d1", "d2", "d3")
 METRICS = COEFFICIENT_METRICS + ("bottleneck",)
@@ -85,13 +86,9 @@ def point_distance(p: tuple[float, float], q: tuple[float, float]) -> float:
     The cheaper of moving one onto the other (sup-norm) and destroying
     both into the diagonal (the larger of their half-gaps).
     """
-    u1, v1 = p
-    u2, v2 = q
-    for u, v in (p, q):
-        if not (math.isfinite(u) and math.isfinite(v)):
-            raise ValueError(f"non-finite point ({u}, {v})")
-        if u > v:
-            raise ValueError(f"point ({u}, {v}) lies below the diagonal")
+    _check_point(*p)
+    _check_point(*q)
+    (u1, v1), (u2, v2) = p, q
     move = max(abs(u1 - u2), abs(v1 - v2))
     destroy = max((v1 - u1) / 2.0, (v2 - u2) / 2.0)
     return min(move, destroy)

@@ -29,10 +29,10 @@ import orjson
 
 from .coefficients import CoefficientVector, embed_diagrams
 from .coefficients import embed_diagram  # noqa: F401 -- perfbench's tracer wraps it here
-from .diagram import PersistenceDiagram, _BadRow, _records
+from .diagram import PersistenceDiagram, _BadRow, _parse_rows, _records
 from .metrics import COEFFICIENT_METRICS, _coefficient_rows, bottleneck_distance
 from .metrics import coefficient_distance  # noqa: F401 -- perfbench's tracer wraps it here
-from .transforms import TRANSFORMS
+from .transforms import get_transform
 
 INDEX_HEADER = "# coefficient-index v1"
 
@@ -61,13 +61,13 @@ class DatabaseEntry:
         if self.label:
             _check_token(self.label, "label")
         for kind in self.vectors:
-            if kind not in TRANSFORMS:
-                raise ValueError(f"unknown transform kind {kind!r}")
+            get_transform(kind)
 
 
 @dataclass
 class LabeledDatabase:
-    """Entries with unique ids; per-transform embeddings share one shape."""
+    """Entries with unique ids; per-transform embeddings share one (width, count) shape.
+    The first entry ``i`` that breaks either rule raises ``_BadRow(message, i)``."""
 
     entries: tuple[DatabaseEntry, ...] = ()
 
@@ -77,14 +77,12 @@ class LabeledDatabase:
         shapes: dict[str, tuple[int, int]] = {}
         for i, e in enumerate(entries):
             if positions.setdefault(e.model_id, i) != i:
-                raise ValueError(f"duplicate model id {e.model_id!r}")
+                raise _BadRow(f"duplicate model id {e.model_id!r}", i)
             for kind, vec in e.vectors.items():
                 shape = (vec.width, vec.count)
                 if shapes.setdefault(kind, shape) != shape:
-                    raise ValueError(
-                        f"inconsistent {kind!r} embeddings: "
-                        f"{shapes[kind]} vs {shape} (width, count)"
-                    )
+                    raise _BadRow(f"inconsistent {kind!r} embeddings, mixed (width, count) "
+                                  f"shapes {shapes[kind]} vs {shape}", i)
         self.entries = entries
         self._positions = positions
 
@@ -412,53 +410,42 @@ def serialize_index(db: LabeledDatabase, kind: str | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _index_row(line: str) -> tuple[tuple[str, int, int], DatabaseEntry]:
-    """One index row as its (kind, width, count) shape and entry; errors do not name the line."""
-    fields = [f.strip() for f in line.split(",")]
-    if len(fields) < 4:
-        raise ValueError("corrupt index row")
-    model_id, kind = fields[0], fields[1]
-    try:
-        width, cnt = int(fields[2]), int(fields[3])
-    except ValueError:
-        raise ValueError("malformed width/count") from None
-    if len(fields) != 4 + 2 * cnt:
-        raise ValueError(f"expected {2 * cnt} coefficient fields, got {len(fields) - 4}")
-    try:
-        parts = [float(f) for f in fields[4:]]
-    except ValueError:
-        raise ValueError("malformed coefficient") from None
-    coeffs = tuple(map(complex, parts[::2], parts[1::2]))
-    return (kind, width, cnt), DatabaseEntry(
-        model_id, "", None, {kind: CoefficientVector(coeffs, width)}
-    )
-
-
 def parse_index(text: str) -> LabeledDatabase:
     """Inverse of :func:`serialize_index`; labels and diagrams come back empty.
 
-    All rows must agree on (kind, width, count); the leading version
-    line is checked so stale or foreign files fail loudly.  Every error
-    in a row names its line.
+    Rows must share one transform kind (ids and shapes are checked by
+    :class:`LabeledDatabase`); the version line is checked so stale or
+    foreign files fail loudly.  Every error in a row names the first bad line.
     """
     if not text or text.splitlines()[0].strip() != INDEX_HEADER:
         raise ValueError(
             f"bad index header (expected {INDEX_HEADER!r}): wrong version or not an index"
         )
-    entries: dict[str, DatabaseEntry] = {}
-    shape: tuple[str, int, int] | None = None
-    for lineno, line in _records(text):  # the header is a comment line
+    kinds: set[str] = set()
+
+    def read(line: str) -> DatabaseEntry:
+        fields = [f.strip() for f in line.split(",")]
+        if len(fields) < 4:
+            raise ValueError("corrupt index row")
+        model_id, kind = fields[0], fields[1]
         try:
-            row_shape, entry = _index_row(line)
-            shape = shape or row_shape
-            if row_shape != shape:
-                raise ValueError(f"mixed index shapes {shape} vs {row_shape}")
-            if entry.model_id in entries:
-                raise ValueError(f"duplicate model id {entry.model_id!r}")
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from None
-        entries[entry.model_id] = entry
-    return LabeledDatabase(tuple(entries.values()))
+            width, cnt = int(fields[2]), int(fields[3])
+        except ValueError:
+            raise ValueError("malformed width/count") from None
+        if len(fields) != 4 + 2 * cnt:
+            raise ValueError(f"expected {2 * cnt} coefficient fields, got {len(fields) - 4}")
+        try:
+            parts = [float(f) for f in fields[4:]]
+        except ValueError:
+            raise ValueError("malformed coefficient") from None
+        coeffs = tuple(map(complex, parts[::2], parts[1::2]))
+        entry = DatabaseEntry(model_id, "", None, {kind: CoefficientVector(coeffs, width)})
+        kinds.add(kind)
+        if len(kinds) > 1:
+            raise ValueError(f"mixed index kinds {sorted(kinds)}")
+        return entry
+
+    return _parse_rows(_records(text), read, LabeledDatabase)
 
 
 def save_index(db: LabeledDatabase, path, kind: str | None = None) -> None:
@@ -544,20 +531,17 @@ def parse_pr_table(text: str) -> PRTable:
     records = _records(text)
     if next(records, (0, ""))[1] != "recall,precision":
         raise ValueError("expected a 'recall,precision' header")
-    rows, linenos = [], []
-    for lineno, line in records:
+
+    def read(line: str) -> tuple[float, float]:
         fields = line.split(",")
         if len(fields) != 2:
-            raise ValueError(f"line {lineno}: expected 2 fields")
+            raise ValueError("expected 2 fields")
         try:
-            rows.append((float(fields[0]), float(fields[1])))
+            return float(fields[0]), float(fields[1])
         except ValueError:
-            raise ValueError(f"line {lineno}: malformed number") from None
-        linenos.append(lineno)
-    try:
-        return PRTable(tuple(rows))
-    except _BadRow as exc:
-        raise ValueError(f"line {linenos[exc.args[1]]}: {exc}") from None
+            raise ValueError("malformed number") from None
+
+    return _parse_rows(records, read, PRTable)
 
 
 def serialize_labels(labels: Mapping[str, str]) -> str:

@@ -27,14 +27,14 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .diagram import _merged
+from .diagram import _exact_multiplicity, _merged
 
 _SQRT2 = math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
 class ComplexRoot:
-    """One complex root with a positive integer multiplicity."""
+    """One complex root with a multiplicity under the diagrams' rule, stored as an int."""
 
     value: complex
     multiplicity: int = 1
@@ -42,10 +42,10 @@ class ComplexRoot:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.value.real) and math.isfinite(self.value.imag)):
             raise ValueError(f"non-finite root {self.value}")
-        if not isinstance(self.multiplicity, int) or self.multiplicity < 1:
-            raise ValueError(
-                f"multiplicity must be a positive integer, got {self.multiplicity}"
-            )
+        if not (multiplicity := _exact_multiplicity(self.multiplicity)):
+            raise ValueError(f"multiplicity {self.multiplicity!r} is not an integer "
+                             "from 1 to 2**63 - 1")
+        object.__setattr__(self, "multiplicity", multiplicity)
 
 
 class ComplexRootList:

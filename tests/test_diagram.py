@@ -17,6 +17,7 @@ from persvec.diagram import (
 from persvec.mesh import TriangleMesh, mesh_zero_persistence
 from persvec.metrics import bottleneck_distance
 from persvec.retrieval import DatabaseEntry, LabeledDatabase, embed_database
+from persvec.transforms import ComplexRoot, ComplexRootList
 
 
 def test_point_validation():
@@ -168,6 +169,50 @@ def test_parse_names_the_line_of_a_multiplicity_beyond_int64():
         parse_diagram(f"# c\n0,1\n0,2,{2**63}\n")
 
 
+MULTIPLICITY_RULE = [
+    (1, True),
+    (2.0, True),
+    (np.int64(2), True),
+    (2**63 - 1, True),
+    (0, False),
+    (-1, False),
+    (1.5, False),
+    (2**63, False),
+    (math.nan, False),
+]
+
+
+def stored_multiplicity(make):
+    """What ``make()`` stores for the multiplicity, or None if it raises ValueError."""
+    try:
+        return make()
+    except ValueError:
+        return None
+
+
+@pytest.mark.parametrize("value, valid", MULTIPLICITY_RULE, ids=repr)
+def test_every_entry_point_keeps_one_multiplicity_rule(value, valid):
+    stored = {
+        "point": lambda: PersistenceDiagram([0.0], [1.0], [value]).total_multiplicity(),
+        "essential_count": lambda: PersistenceDiagram(essential_count=value).essential_count,
+        "point row": lambda: parse_diagram(f"0,1,{value}\n").total_multiplicity(),
+        "essential row": lambda: parse_diagram(f"0,inf,{value}\n").essential_count,
+        "root": lambda: ComplexRootList([ComplexRoot(1j, value)]).width,
+    }
+    got = {name: stored_multiplicity(make) for name, make in stored.items()}
+    want = {name: int(value) if valid else None for name in stored}
+    if value == 0:
+        want["essential_count"] = 0  # no essential class at all
+    assert got == want
+    assert {type(m) for m in got.values()} <= {int, type(None)}
+
+
+def test_essential_rows_beyond_int64_in_total_name_the_line():
+    assert parse_diagram(f"0,inf,{2**63 - 2}\n1,inf\n").essential_count == 2**63 - 1
+    with pytest.raises(ValueError, match="^line 3: an essential row"):
+        parse_diagram(f"0,inf,{2**63 - 2}\n0,1\n1,inf,2\n")
+
+
 def test_first_bad_line_is_reported():
     # a point error on line 2 comes before the syntax error on line 3
     with pytest.raises(ValueError, match="^line 2: point"):
@@ -257,6 +302,24 @@ def test_serialize_parse_round_trip(case):
     assert again == d
     assert again.essential_count == essential
     assert serialize_diagram(again) == text
+
+
+ESSENTIAL_COUNTS = st.one_of(
+    st.integers(0, 2**63 - 1),
+    st.integers(0, 2**63 - 1).map(float).filter(lambda x: x < 2**63),
+    st.integers(0, 2**63 - 1).map(np.int64),
+    st.integers(0, 255).map(np.uint8),
+)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(tie_heavy_rows(), ESSENTIAL_COUNTS)
+def test_essential_count_round_trip(case, essential):
+    rows, _ = case
+    d = PersistenceDiagram.from_pairs(rows, essential)
+    assert d.essential_count == essential and type(d.essential_count) is int
+    again = parse_diagram(serialize_diagram(d))
+    assert again == d and type(again.essential_count) is int
 
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)

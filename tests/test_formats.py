@@ -60,6 +60,10 @@ from persvec.transforms import TRANSFORMS
         (parse_pr_table, "recall,precision\n\n# c\n1.5,0.5\n", "line 4: recall level 1.5 out"),
         (parse_pr_table, "recall,precision\n0.5,1\n# c\n0.5,1\n", "line 4: recall levels must"),
         (parse_pr_table, "recall,precision\n\n1.0,2.0\n", "line 3: precision 2.0 outside"),
+        # a bad row is reported before a malformed line after it
+        (parse_pr_table, "recall,precision\n1.5,0.5\nx,y\n", "line 2: recall level 1.5 out"),
+        (parse_index, "# coefficient-index v1\na,R,3,1,1.0,0.5\n\na,R,3,1,2.0,0.5\nb,R,x\n",
+         "line 4: duplicate model id 'a'"),
     ],
 )
 def test_bad_row_after_blank_and_comment_lines_names_its_file_line(parse, text, message):
