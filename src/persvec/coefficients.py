@@ -28,7 +28,7 @@ from typing import Iterable
 import numpy as np
 
 from .diagram import _merged
-from .transforms import ComplexRootList, _first_bad_root, _no_root
+from .transforms import ComplexRootList
 from .transforms import transform_columns, transform_diagram
 
 
@@ -143,13 +143,18 @@ def _checked_count(width: int, count: int | None) -> int:
     return count
 
 
+def _check_width(size: int, width: int) -> None:
+    """The width rule: ``size`` roots zero-pad to ``width`` only if size <= width."""
+    if size > width:
+        raise ValueError(f"cannot pad width {size} down to {width}")
+
+
 def embed_roots(roots: ComplexRootList, width: int, count: int | None = None) -> CoefficientVector:
     """Coefficient vector of a root list zero-padded to ``width``.
 
     ``count`` defaults to floor(sqrt(width)) and must lie in [1, width].
     """
-    if roots.width > width:
-        raise ValueError(f"cannot pad width {roots.width} down to {width}")
+    _check_width(roots.width, width)
     count = _checked_count(width, count)
     z = np.repeat(roots.values, roots.multiplicities)
     return CoefficientVector(elementary_symmetric(z, count), width)
@@ -179,23 +184,30 @@ def _blocks(sizes: list[int]):
 def embed_diagrams(diagrams, kind: str, width: int, count: int | None = None) -> list[CoefficientVector]:
     """``[embed_diagram(d, kind, width, count) for d in diagrams]`` in one array pass.
 
-    The vectors, and the error of the first diagram that fails, are the
-    per-diagram calls'.  All points are transformed at once, one lexsort
-    by (diagram, real, imag) orders and merges the roots as
-    :class:`ComplexRootList` does, and the kernel runs on blocks of
-    diagrams of similar root counts, zero-padded at the row end.
+    The vectors are the per-diagram calls'.  All points are transformed
+    at once, one lexsort by (diagram, real, imag) orders and merges the
+    roots as :class:`ComplexRootList` does, and the kernel runs on blocks
+    of diagrams of similar root counts, zero-padded at the row end.  A
+    pass that fails anywhere is redone diagram by diagram, so the error
+    raised is the one the per-diagram calls raise first.
     """
-    count = _checked_count(width, count)
     diagrams = list(diagrams)
-    for d in diagrams:
-        if d.total_multiplicity() > width:
-            raise ValueError(f"cannot pad width {d.total_multiplicity()} down to {width}")
+    try:
+        return _embed_pass(diagrams, kind, width, count)
+    except (ValueError, OverflowError):
+        for d in diagrams:
+            embed_diagram(d, kind, width, count)  # raises the per-diagram calls' first error
+        raise
+
+
+def _embed_pass(diagrams: list, kind: str, width: int, count: int | None) -> list[CoefficientVector]:
     if not diagrams:
         return []
+    count = _checked_count(width, count)
+    _check_width(max(d.total_multiplicity() for d in diagrams), width)
     owner = np.repeat(np.arange(len(diagrams)), [len(d) for d in diagrams])
     u, v = (np.concatenate([getattr(d, c) for d in diagrams]) for c in ("births", "deaths"))
     re, im = transform_columns(kind, u, v)
-    bad_point = _first_bad_root(re, im)
     m = np.concatenate([d.multiplicities for d in diagrams])
     rows, re, im, m = _merged((owner, re, im), m)
     nonzero = (re != 0) | (im != 0)
@@ -211,9 +223,5 @@ def embed_diagrams(diagrams, kind: str, width: int, count: int | None = None) ->
         inside = offsets < sizes[block, None]
         at = np.where(inside, starts[block, None] + offsets, 0)
         coeffs[block] = _prefix_esp(np.where(inside, re[at], 0.0), np.where(inside, im[at], 0.0), count)
-    failure = _overflow(coeffs)
-    if bad_point is not None and (failure is None or owner[bad_point] <= failure[0]):
-        raise _no_root(u[bad_point], v[bad_point], kind)
-    if failure is not None:
-        raise failure[1]
+    # CoefficientVector rejects the non-finite values a point with no root or an overflow leaves
     return [CoefficientVector(tuple(row), width) for row in coeffs.tolist()]

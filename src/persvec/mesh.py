@@ -24,9 +24,13 @@ from scipy.cluster.hierarchy import DisjointSet
 from .diagram import PersistenceDiagram
 
 
-def _index_rows(entries, width: int, what: str) -> np.ndarray:
-    """Triangle or edge indices as an (m, width) int64 array; a row with a
-    fractional or non-finite entry is a ValueError, never truncated."""
+def _index_rows(entries, width: int, vertices: int, what: str) -> np.ndarray:
+    """Triangle or edge indices as an (m, width) int64 array.
+
+    The index-row rule: each row names ``width`` distinct vertices out of
+    ``vertices``, by integer indices.  The first row that breaks it is a
+    ValueError; a fractional or non-finite entry is never truncated.
+    """
     rows = np.asarray(entries)
     if rows.size == 0:
         rows = rows.reshape(0, width)
@@ -34,10 +38,20 @@ def _index_rows(entries, width: int, what: str) -> np.ndarray:
         raise ValueError(f"{what}s must be an (m, {width}) index array")
     with np.errstate(invalid="ignore"):
         ints = rows.astype(np.int64)
-    exact = (ints == rows).all(axis=1)
-    if not exact.all():
-        bad = tuple(rows[int(np.argmin(exact))].tolist())
-        raise ValueError(f"{what} {bad} has an index that is not a 64-bit integer")
+    cols = ints.view(np.uint64).T  # a negative index wraps past any vertex count
+    bad = np.zeros(len(rows), dtype=bool)
+    for i in range(width):
+        bad |= (ints[:, i] != rows[:, i]) | (cols[i] >= vertices)
+        for j in range(i):
+            bad |= cols[i] == cols[j]
+    if bad.any():
+        first = int(np.argmax(bad))
+        row, index = rows[first], ints[first]
+        if (index != row).any():
+            raise ValueError(f"{what} {tuple(row.tolist())} has an index that is not a 64-bit integer")
+        if ((index < 0) | (index >= vertices)).any():
+            raise ValueError(f"{what} {tuple(index.tolist())} is out of range for {vertices} vertices")
+        raise ValueError(f"{what} {tuple(index.tolist())} repeats a vertex")
     return ints
 
 
@@ -54,19 +68,7 @@ class TriangleMesh:
             raise ValueError("vertices must be an (n, 3) array with n >= 1")
         if not np.all(np.isfinite(verts)):
             raise ValueError("vertex coordinates must be finite")
-        tris = _index_rows(self.triangles, 3, "triangle")
-        n = verts.shape[0]
-        if tris.size:
-            if tris.min() < 0 or tris.max() >= n:
-                raise ValueError("triangle index out of range")
-            degenerate = (
-                (tris[:, 0] == tris[:, 1])
-                | (tris[:, 1] == tris[:, 2])
-                | (tris[:, 0] == tris[:, 2])
-            )
-            if degenerate.any():
-                bad = int(np.argmax(degenerate))
-                raise ValueError(f"degenerate triangle {tuple(tris[bad].tolist())} repeats an index")
+        tris = _index_rows(self.triangles, 3, len(verts), "triangle")
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "triangles", tris)
 
@@ -279,15 +281,7 @@ def _check_graph(values, edges) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("need a flat sequence of at least one vertex value")
     if not np.all(np.isfinite(f)):
         raise ValueError("vertex values must be finite")
-    e = _index_rows(edges, 2, "edge")
-    n = len(f)
-    bad = ((e < 0) | (e >= n)).any(axis=1) | (e[:, 0] == e[:, 1])
-    if bad.any():
-        a, b = e[int(np.argmax(bad))].tolist()
-        if not (0 <= a < n and 0 <= b < n):
-            raise ValueError(f"edge ({a}, {b}) is out of range for {n} vertices")
-        raise ValueError(f"self-loop at vertex {a}")
-    return f, e
+    return f, _index_rows(edges, 2, len(f), "edge")
 
 
 def zero_persistence(values, edges) -> PersistenceDiagram:

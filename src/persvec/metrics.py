@@ -29,6 +29,12 @@ COEFFICIENT_METRICS = ("d1", "d2", "d3")
 METRICS = COEFFICIENT_METRICS + ("bottleneck",)
 
 
+def _check_metric(kind: str) -> None:
+    """The metric-kind rule: a coefficient metric is one of ``COEFFICIENT_METRICS``."""
+    if kind not in COEFFICIENT_METRICS:
+        raise ValueError(f"unknown metric {kind!r}, expected one of {COEFFICIENT_METRICS}")
+
+
 def coefficient_distance(a: CoefficientVector, b: CoefficientVector, kind: str) -> float:
     """Entrywise distance between two coefficient vectors.
 
@@ -39,15 +45,12 @@ def coefficient_distance(a: CoefficientVector, b: CoefficientVector, kind: str) 
         raise ValueError(f"width mismatch: {a.width} vs {b.width}")
     if a.count != b.count:
         raise ValueError(f"coefficient count mismatch: {a.count} vs {b.count}")
-    gaps = [abs(x - y) for x, y in zip(a.coefficients, b.coefficients)]
-    if kind == "d1":
-        terms = gaps
-    elif kind == "d2":
-        terms = [g / j for j, g in enumerate(gaps, start=1)]
+    _check_metric(kind)
+    terms = [abs(x - y) for x, y in zip(a.coefficients, b.coefficients)]
+    if kind == "d2":
+        terms = [g / j for j, g in enumerate(terms, start=1)]
     elif kind == "d3":
-        terms = [g ** (1.0 / j) for j, g in enumerate(gaps, start=1)]
-    else:
-        raise ValueError(f"unknown metric {kind!r}, expected one of {COEFFICIENT_METRICS}")
+        terms = [g ** (1.0 / j) for j, g in enumerate(terms, start=1)]
     # Plain left-to-right addition, as _coefficient_rows does: the builtin
     # sum() compensates float rounding from Python 3.12 on.
     total = 0.0
@@ -68,8 +71,7 @@ def _coefficient_rows(q: np.ndarray, rows: np.ndarray, kind: str) -> np.ndarray:
     last bit); and the k terms are added left to right by a cumulative
     sum.
     """
-    if kind not in COEFFICIENT_METRICS:
-        raise ValueError(f"unknown metric {kind!r}, expected one of {COEFFICIENT_METRICS}")
+    _check_metric(kind)
     diff = q - rows
     terms = np.hypot(diff.real, diff.imag)
     j = np.arange(1, rows.shape[1] + 1)

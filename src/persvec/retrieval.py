@@ -30,7 +30,7 @@ import orjson
 from .coefficients import CoefficientVector, embed_diagrams
 from .coefficients import embed_diagram  # noqa: F401 -- perfbench's tracer wraps it here
 from .diagram import PersistenceDiagram, _BadRow, _parse_rows, _records
-from .metrics import COEFFICIENT_METRICS, _coefficient_rows, bottleneck_distance
+from .metrics import _check_metric, _coefficient_rows, bottleneck_distance
 from .metrics import coefficient_distance  # noqa: F401 -- perfbench's tracer wraps it here
 from .transforms import get_transform
 
@@ -119,9 +119,11 @@ class DistanceMatrix:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        ids = tuple(_check_token(i, "model id") for i in self.ids)
-        if len(set(ids)) != len(ids):
-            raise ValueError("duplicate ids in distance matrix")
+        ids = tuple(self.ids)
+        try:
+            LabeledDatabase(tuple(map(DatabaseEntry, ids)))  # the ids' token and unique-id rules
+        except _BadRow as exc:  # an id is no matrix row: parse_matrix names the ids' line
+            raise ValueError(str(exc)) from None
         values = np.asarray(self.values, dtype=float)
         n = len(ids)
         if values.shape != (n, n):
@@ -268,12 +270,11 @@ def distance_matrix(
         if transform is not None:
             raise ValueError("the bottleneck metric does not take a transform")
         values = _bottleneck_matrix(_diagrams(db.entries, "to compare"), threads)
-    elif metric in COEFFICIENT_METRICS:
+    else:
+        _check_metric(metric)
         if transform is None:
             raise ValueError(f"metric {metric!r} needs a transform kind")
         values = _coefficient_matrix(_stacked_vectors(db, transform, count), metric)
-    else:
-        raise ValueError(f"unknown metric {metric!r}")
     return DistanceMatrix(tuple(e.model_id for e in db.entries), values)
 
 
@@ -353,8 +354,7 @@ def two_stage_query(
     rest in prefilter order.  The tail is kept so the result is always
     a complete ranking; the cut only bounds where bottleneck is spent.
     """
-    if kind not in COEFFICIENT_METRICS:
-        raise ValueError(f"prefilter metric must be one of {COEFFICIENT_METRICS}")
+    _check_metric(kind)
     qi = db.position(query_id)
     others = np.delete(np.arange(len(db)), qi)
     if not 1 <= candidates <= len(others):
@@ -557,14 +557,12 @@ def parse_labels(text: str) -> dict[str, str]:
     records = _records(text)
     if next(records, (0, ""))[1] != "id,class":
         raise ValueError("expected an 'id,class' header")
-    labels: dict[str, str] = {}
-    for lineno, line in records:
+
+    def read(line: str) -> DatabaseEntry:
         mid, _, label = (f.strip() for f in line.partition(","))  # a 3rd field leaves a comma
-        if mid in labels:
-            raise ValueError(f"line {lineno}: duplicate id {mid!r}")
-        _check_token(mid, f"line {lineno}: model id")
-        labels[mid] = _check_token(label, f"line {lineno}: label")
-    return labels
+        return DatabaseEntry(_check_token(mid, "model id"), _check_token(label, "label"))
+
+    return database_labels(_parse_rows(records, read, LabeledDatabase))
 
 
 # --------------------------------------------------------------- synthetic

@@ -213,11 +213,6 @@ def transform_columns(kind: str, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarr
         return half_gap * (c - s), half_gap * (c + s)
 
 
-def _first_bad_root(re: np.ndarray, im: np.ndarray) -> int | None:
-    bad = ~(np.isfinite(re) & np.isfinite(im))
-    return int(np.argmax(bad)) if bad.any() else None
-
-
 def transform_diagram(diagram, kind: str) -> ComplexRootList:
     """Map every diagram point to a root, carrying multiplicities.
 
@@ -227,6 +222,8 @@ def transform_diagram(diagram, kind: str) -> ComplexRootList:
     """
     u, v = diagram.births, diagram.deaths
     re, im = transform_columns(kind, u, v)
-    if (i := _first_bad_root(re, im)) is not None:
+    finite = np.isfinite(re) & np.isfinite(im)
+    if not finite.all():
+        i = np.argmin(finite)
         raise _no_root(u[i], v[i], kind)
     return ComplexRootList._from_columns(re, im, diagram.multiplicities)

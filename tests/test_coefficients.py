@@ -324,9 +324,12 @@ def former_embed_diagrams(diagrams, kind, width, count):
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
-@given(diagram_lists(), st.sampled_from("RST"), st.integers(1, 40), st.sampled_from([6, 1 << 16]))
-def test_database_pass_equals_diagram_by_diagram(diagrams, kind, count, budget):
-    width = max(40, *(d.total_multiplicity() for d in diagrams))
+@given(diagram_lists(), st.sampled_from("RST"), st.none() | st.integers(-1, 41),
+       st.none() | st.integers(0, 12), st.sampled_from([6, 1 << 16]))
+def test_database_pass_equals_diagram_by_diagram(diagrams, kind, count, cramped, budget):
+    """The one pass gives the per-diagram calls' vectors or first error; a ``cramped``
+    width may lie below some diagram's size, and ``count`` may lie outside [1, width]."""
+    width = max(40, *(d.total_multiplicity() for d in diagrams)) if cramped is None else cramped
 
     def one_pass():
         with mock.patch.object(coefficients, "_BLOCK_ELEMENTS", budget):
@@ -334,11 +337,14 @@ def test_database_pass_equals_diagram_by_diagram(diagrams, kind, count, budget):
         assert all(vec.width == width for vec in vectors)
         return [z for vec in vectors for z in vec.coefficients]
 
-    want = outcome(former_embed_diagrams, diagrams, kind, width, count)
+    def one_by_one():
+        return [z for d in diagrams for z in embed_diagram(d, kind, width, count).coefficients]
+
+    want = outcome(one_by_one)
     assert outcome(one_pass) == want
-    if not isinstance(want[0], type):  # no error: the one-diagram API agrees too
-        singles = [embed_diagram(d, kind, width, count).coefficients for d in diagrams]
-        assert bits(z for vec in singles for z in vec) == want
+    if cramped is None and (count is None or 1 <= count <= width):  # the scalar oracle agrees
+        k = math.isqrt(width) if count is None else count
+        assert outcome(former_embed_diagrams, diagrams, kind, width, k) == want
 
 
 def test_database_pass_edge_cases():
@@ -350,3 +356,40 @@ def test_database_pass_edge_cases():
         embed_diagrams([PersistenceDiagram.from_pairs([(0, 1, 2)])], "R", 1)
     with pytest.raises(ValueError, match="count"):
         embed_diagrams([single], "R", 1, 2)
+
+
+FAR = (1e308, 1.5e308)  # hypot overflows: no finite T root
+THREE = PersistenceDiagram.from_pairs([(0, 1), (0, 2), (0, 3)])
+
+
+@pytest.mark.parametrize(
+    "diagrams, width, count, message",
+    [
+        # a bad point in the first diagram comes before a later diagram's width
+        ([PersistenceDiagram.from_pairs([FAR]), THREE], 2, 1, "lies too far from the origin"),
+        # ... and before the count, as in the per-diagram call
+        ([PersistenceDiagram.from_pairs([FAR, (0, 1), (0, 2)])], 3, 5, "lies too far from the origin"),
+        # a too wide first diagram comes before the count
+        ([THREE], 2, 5, "cannot pad width 3 down to 2"),
+    ],
+)
+def test_database_pass_raises_the_first_per_diagram_error(diagrams, width, count, message):
+    for embed in (lambda: embed_diagrams(diagrams, "T", width, count),
+                  lambda: [embed_diagram(d, "T", width, count) for d in diagrams]):
+        with pytest.raises(ValueError, match=message):
+            embed()
+
+
+@pytest.mark.parametrize(
+    "embed",
+    [
+        lambda: embed_roots(transform_diagram(THREE, "T"), 2, 1),
+        lambda: embed_diagram(THREE, "T", 2, 1),
+        lambda: embed_diagrams([PersistenceDiagram(), THREE, THREE], "T", 2, 1),
+    ],
+    ids=["embed_roots", "embed_diagram", "embed_diagrams"],
+)
+def test_every_entry_point_keeps_one_width_rule(embed):
+    with pytest.raises(ValueError) as exc:
+        embed()
+    assert str(exc.value) == "cannot pad width 3 down to 2"

@@ -47,7 +47,7 @@ from persvec.transforms import TRANSFORMS
         (parse_matrix, "a,b\n\n# note\n0.0,1.0\n1.0\n", "line 5: matrix row has 1 fields"),
         (parse_matrix, "a,b\n# note\n\n0.0,x\n1.0,0.0\n", "line 4: matrix row has a malformed"),
         (parse_labels, "id,class\n\n\na,x\nb\n", "line 5: label must not be empty"),
-        (parse_labels, "id,class\n# note\na,x\n\na,y\n", "line 5: duplicate id 'a'"),
+        (parse_labels, "id,class\n# note\na,x\n\na,y\n", "line 5: duplicate model id 'a'"),
         (parse_pr_table, "recall,precision\n\n# note\n0.5,x\n", "line 4: malformed number"),
         (parse_pr_table, "recall,precision\n# note\n\n0.5\n", "line 4: expected 2 fields"),
         # checks the constructors make after parsing
@@ -56,7 +56,7 @@ from persvec.transforms import TRANSFORMS
         (parse_matrix, "a,b\n0.0,1.0\n# c\n1.0,2.0\n", "line 4: matrix diagonal must be zero"),
         (parse_matrix, "a,b,c\n0,1,2\n\n1,0,3\n2,4,0\n", "line 4: matrix must be symmetric"),
         (parse_matrix, "# c\n\na,#b\n0.0,1.0\n1.0,0.0\n", "line 3: model id '#b' must not"),
-        (parse_matrix, "\na,a\n0.0,1.0\n1.0,0.0\n", "line 2: duplicate ids in distance"),
+        (parse_matrix, "\na,a\n0.0,1.0\n1.0,0.0\n", "line 2: duplicate model id 'a'"),
         (parse_pr_table, "recall,precision\n\n# c\n1.5,0.5\n", "line 4: recall level 1.5 out"),
         (parse_pr_table, "recall,precision\n0.5,1\n# c\n0.5,1\n", "line 4: recall levels must"),
         (parse_pr_table, "recall,precision\n\n1.0,2.0\n", "line 3: precision 2.0 outside"),
@@ -70,6 +70,26 @@ def test_bad_row_after_blank_and_comment_lines_names_its_file_line(parse, text, 
     with pytest.raises(ValueError) as exc:
         parse(text)
     assert str(exc.value).startswith(message)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: LabeledDatabase((DatabaseEntry("a"), DatabaseEntry("b"), DatabaseEntry("a"))),
+         "duplicate model id 'a'"),
+        (lambda: DistanceMatrix(("a", "b", "a"), np.zeros((3, 3))), "duplicate model id 'a'"),
+        (lambda: parse_index("# coefficient-index v1\na,R,3,1,1.0,0.5\nb,R,3,1,0.0,0.5\n"
+                             "# c\na,R,3,1,2.0,0.5\n"), "line 5: duplicate model id 'a'"),
+        # the ids are the header: a duplicate names its line, not a row's
+        (lambda: parse_matrix("# c\na,b,a\n0,1,2\n1,0,3\n2,3,0\n"), "line 2: duplicate model id 'a'"),
+        (lambda: parse_labels("id,class\na,x\n\nb,x\na,y\n"), "line 5: duplicate model id 'a'"),
+    ],
+    ids=["LabeledDatabase", "DistanceMatrix", "parse_index", "parse_matrix", "parse_labels"],
+)
+def test_every_entry_point_keeps_one_unique_id_rule(build, message):
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert str(exc.value) == message
 
 
 def test_comment_and_blank_lines_are_skipped_in_every_format():

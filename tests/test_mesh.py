@@ -58,7 +58,7 @@ def test_mesh_validation():
         TriangleMesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=int))
     with pytest.raises(ValueError, match="out of range"):
         TriangleMesh(np.zeros((3, 3)), np.array([[0, 1, 3]]))
-    with pytest.raises(ValueError, match="degenerate"):
+    with pytest.raises(ValueError, match=r"^triangle \(0, 1, 1\) repeats a vertex$"):
         TriangleMesh(np.zeros((3, 3)), np.array([[0, 1, 1]]))
     with pytest.raises(ValueError, match="finite"):
         TriangleMesh(np.array([[0, 0, np.inf]]), np.zeros((0, 3), dtype=int))
@@ -519,7 +519,7 @@ def test_zero_persistence_rejects_non_integer_edges():
 
 
 def test_zero_persistence_names_first_bad_edge():
-    with pytest.raises(ValueError, match=r"^self-loop at vertex 1$"):
+    with pytest.raises(ValueError, match=r"^edge \(1, 1\) repeats a vertex$"):
         zero_persistence([0, 1, 2], [(0, 1), (1, 1), (0, 5)])
     with pytest.raises(ValueError, match=r"^edge \(0, 5\) is out of range for 3 vertices$"):
         zero_persistence([0, 1, 2], np.array([(0, 1), (0, 5), (1, 1)]))
@@ -527,6 +527,36 @@ def test_zero_persistence_names_first_bad_edge():
         zero_persistence([0, 1, 2], [(-1, 1)])
     with pytest.raises(ValueError, match=r"^edge \(5, 5\) is out of range"):
         zero_persistence([0, 1, 2], [(5, 5)])
+
+
+SQUARE = "OFF\n4 2 0\n0 0 0\n1 0 0\n1 1 0\n0 1 0\n"
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: TriangleMesh(np.eye(3), [[0, 1, 2], [2, 1, 2], [0, 1, 3]]),
+         "triangle (2, 1, 2) repeats a vertex"),
+        (lambda: TriangleMesh(np.eye(3), [[0, 1, 2], [0, -1, 2], [1, 1, 2]]),
+         "triangle (0, -1, 2) is out of range for 3 vertices"),
+        (lambda: TriangleMesh(np.eye(3), [[0, 1, 2], [0, 1, 2.5], [0, 1, 3]]),
+         "triangle (0.0, 1.0, 2.5) has an index that is not a 64-bit integer"),
+        (lambda: zero_persistence([0, 1, 2], [(0, 1), (2, 2), (0, 3)]), "edge (2, 2) repeats a vertex"),
+        (lambda: zero_persistence([0, 1, 2], [(0, 1), (2, 3), (1, 1)]),
+         "edge (2, 3) is out of range for 3 vertices"),
+        (lambda: zero_persistence([0, 1, 2], [(0, 1), (0.5, 1), (1, 1)]),
+         "edge (0.5, 1.0) has an index that is not a 64-bit integer"),
+        (lambda: parse_off(SQUARE + "3 0 1 2\n3 0 2 0\n"), "triangle (0, 2, 0) repeats a vertex"),
+        (lambda: parse_off(SQUARE + "3 0 1 2\n3 0 2 4 255 0 0\n"),
+         "triangle (0, 2, 4) is out of range for 4 vertices"),
+    ],
+    ids=["TriangleMesh repeat", "TriangleMesh range", "TriangleMesh fraction", "zero_persistence repeat",
+         "zero_persistence range", "zero_persistence fraction", "parse_off repeat", "parse_off range"],
+)
+def test_every_entry_point_keeps_one_index_row_rule(build, message):
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert str(exc.value) == message
 
 
 def test_mesh_zero_persistence_single_triangle():

@@ -473,7 +473,7 @@ def test_two_stage_query_errors():
         two_stage_query("m00", db, "R", "d1", candidates=0)
     with pytest.raises(ValueError, match="candidates"):
         two_stage_query("m00", db, "R", "d1", candidates=4)
-    with pytest.raises(ValueError, match="prefilter"):
+    with pytest.raises(ValueError, match="^unknown metric 'bottleneck'"):
         two_stage_query("m00", db, "R", "bottleneck", candidates=2)
     k = db.entries[0].vectors["R"].count
     for count in (0, k + 1):
@@ -481,6 +481,23 @@ def test_two_stage_query_errors():
             two_stage_query("m00", db, "R", "d1", candidates=2, count=count)
         with pytest.raises(ValueError, match=f"^cannot truncate {k} coefficients to {count}$"):
             distance_matrix(db, "d1", transform="R", count=count)
+
+
+@pytest.mark.parametrize("kind", ["d4", "D1", "", "bottleneck"])
+def test_every_entry_point_keeps_one_metric_kind_rule(kind):
+    db = embed_database(diagram_db(random_diagrams(random.Random(8), 3)), "R")
+    vec = db.entries[0].vectors["R"]
+    calls = {
+        "coefficient_distance": lambda: coefficient_distance(vec, vec, kind),
+        "two_stage_query": lambda: two_stage_query("m00", db, "R", kind, candidates=1),
+    }
+    if kind != "bottleneck":  # which distance_matrix takes, on the diagrams
+        calls["distance_matrix"] = lambda: distance_matrix(db, kind, transform="R")
+        calls["distance_matrix, no transform"] = lambda: distance_matrix(db, kind)
+    for name, call in calls.items():
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == f"unknown metric {kind!r}, expected one of ('d1', 'd2', 'd3')", name
 
 
 # ------------------------------------------------------------- index file
