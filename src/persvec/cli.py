@@ -250,7 +250,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (ValueError, OverflowError, OSError) as exc:
+    except (ValueError, OverflowError, OSError, MemoryError) as exc:
         message = str(exc).splitlines()[0] if str(exc) else type(exc).__name__
         print(f"error: {message}", file=sys.stderr)
         return 1

@@ -18,8 +18,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.sparse import csr_array
-from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from .coefficients import CoefficientVector
 from .diagram import PersistenceDiagram
@@ -134,47 +132,22 @@ def _cost_matrix(a: PersistenceDiagram, b: PersistenceDiagram) -> np.ndarray:
     return cost
 
 
-# A side with at most this many big points is matched by the
-# plain-Python augmenting-path search, a larger one by scipy.  Measured
-# on 60-point pairs with 1-7 big points, Kuhn took 0.3-0.7x scipy's
-# time per pair; on pairs of 8-40 big points, alone or among 60, it was
-# the faster up to about 16; scipy's Hopcroft-Karp was about 1.1x
-# faster at 20-40 and 3-5x faster on pairs of 60 and 200 points that
-# are all big.  The bound also caps the depth of Kuhn's recursion.
-_KUHN_MAX_BIG = 16
-
-
-def _augment(row: int, neighbours: list[list[int]], owner: dict, seen: set) -> bool:
-    """Kuhn's step: give ``row`` a column, moving earlier rows along an
-    augmenting path through columns not yet ``seen`` if need be."""
-    for col in neighbours[row]:
-        if col not in seen:
-            seen.add(col)
-            if col not in owner or _augment(owner[col], neighbours, owner, seen):
-                owner[col] = row
-                return True
-    return False
-
-
 def _row_cover(adj: np.ndarray):
     """The columns used by a matching that covers every row of the
     bipartite graph ``adj`` (rows x columns, boolean), or None if no
-    matching does."""
-    rows, cols = np.nonzero(adj)
-    if len(adj) > _KUHN_MAX_BIG:
-        indptr = np.searchsorted(rows, np.arange(len(adj) + 1))
-        graph = csr_array((np.ones(len(cols), dtype=bool), cols, indptr), shape=adj.shape)
-        match = maximum_bipartite_matching(graph, perm_type="column")
-        return match if np.all(match >= 0) else None
-    neighbours: list[list[int]] = [[] for _ in range(len(adj))]
-    for row, col in zip(rows.tolist(), cols.tolist()):
-        neighbours[row].append(col)
-    # Kuhn: a row with no augmenting path now never gets one later, so
-    # the first such row settles it.
-    owner: dict[int, int] = {}
-    if all(_augment(row, neighbours, owner, set()) for row in range(len(adj))):
-        return list(owner)
-    return None
+    matching does.
+
+    A minimum-cost assignment on the complement (cost 1 for a missing
+    edge) uses as many edges as a maximum matching, so such a matching
+    exists exactly when every row is assigned and every assigned cell is
+    an edge.
+    """
+    # Imported on first use: scipy.optimize adds about 0.15 s and 8 MB to
+    # start-up, which commands that compute no bottleneck need not pay.
+    from scipy.optimize import linear_sum_assignment
+
+    rows, cols = linear_sum_assignment(~adj)
+    return cols if len(rows) == len(adj) and adj[rows, cols].all() else None
 
 
 def _feasible(cross: np.ndarray, half_a: np.ndarray, half_b: np.ndarray, t: float) -> bool:

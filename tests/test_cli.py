@@ -228,7 +228,15 @@ def test_query_rejects_diagram_wider_than_index(tmp_path, capsys):
 
 def test_failures_exit_one_with_single_line(tmp_path, capsys):
     out = tmp_path / "out.csv"
+    # A multiplicity of 2**45 is within the rule, but expanding it needs
+    # 256 TiB, beyond any address space, so the allocation fails at once.
+    huge = tmp_path / "huge"
+    huge.mkdir()
+    (huge / "a.csv").write_text(f"0,1,{2**45}\n")
+    (huge / "b.csv").write_text("0,2\n")
     cases = [
+        ("embed", "--diagrams", str(huge), "--transform", "R", "--out", str(out)),
+        ("dist", "--diagrams", str(huge), "--metric", "bottleneck", "--out", str(out)),
         ("dist", "--index", str(tmp_path / "missing.csv"), "--metric", "d1", "--out", str(out)),
         ("diagram", "--mesh", str(tmp_path / "no.off"), "--filter", "line", "--out", str(out)),
         ("embed", "--diagrams", str(tmp_path), "--transform", "R", "--out", str(out)),  # empty dir

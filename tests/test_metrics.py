@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from networkx import Graph
+from networkx.algorithms.bipartite import hopcroft_karp_matching
 from scipy.optimize import linear_sum_assignment
 
 from persvec import metrics
@@ -290,8 +292,8 @@ def reduced_graph_pairs(draw):
 
     Each side is empty, all small (gaps below 0.05, near the diagonal),
     all big (gaps of 0.5-2), or mixed, and may carry a few points far out
-    whose half-gaps or distances overflow to inf.  Big sides of up to 40
-    points take both the Kuhn and the scipy matcher.
+    whose half-gaps or distances overflow to inf.  Big sides run from 1
+    to 40 points.
     """
     small = st.floats(1e-6, 0.05)
     big = st.floats(0.5, 2)
@@ -331,9 +333,37 @@ def test_bottleneck_equals_plain_bisection_on_reduced_graph(monkeypatch):
         assert bottleneck_distance(a, b) == (candidates[answer] if len(candidates) else 0.0)
 
     check()
-    # both matchers ran on sides with big points
-    assert any(0 < size <= metrics._KUHN_MAX_BIG for size in sides)
-    assert max(sides) > metrics._KUHN_MAX_BIG
+    # the matcher ran on sides of 1-16 big points and of more than 16
+    assert any(0 < size <= 16 for size in sides)
+    assert max(sides) > 16
+
+
+def test_row_cover_agrees_with_hopcroft_karp():
+    # networkx's pure-Python Hopcroft-Karp decides whether a matching
+    # covers every row, independently of scipy's solver.
+    rng = np.random.default_rng(15)
+    graphs = [np.zeros((0, 4), dtype=bool), np.zeros((0, 0), dtype=bool), np.zeros((3, 0), dtype=bool)]
+    for shape in [(1, 1), (5, 3), (3, 5), (60, 60), (60, 40), (40, 60)]:
+        graphs += [np.zeros(shape, dtype=bool), np.ones(shape, dtype=bool)]
+    for density in (0.05, 0.1, 0.2, 0.35, 0.5, 0.7, 0.9):
+        for _ in range(30):
+            graphs.append(rng.random(rng.integers(1, 61, size=2)) < density)
+    outcomes = {"cover": 0, "isolated row": 0, "Hall violation": 0}
+    for adj in graphs:
+        m, n = adj.shape
+        graph = Graph()
+        graph.add_nodes_from(range(m + n))
+        graph.add_edges_from((i, m + j) for i, j in zip(*np.nonzero(adj)))
+        matched = sum(1 for node in hopcroft_karp_matching(graph, top_nodes=range(m)) if node < m)
+        used = metrics._row_cover(adj)
+        if matched < m:
+            assert used is None, adj.shape
+            outcomes["Hall violation" if adj.any(axis=1).all() else "isolated row"] += 1
+        else:
+            assert used is not None and len(used) == m == len(set(used)), adj.shape
+            assert all(adj[i, j] for i, j in enumerate(used)), adj.shape
+            outcomes["cover"] += 1
+    assert min(outcomes.values()) >= 10, outcomes
 
 
 def test_bruteforce_cap():
