@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.cluster.hierarchy import DisjointSet
 
 from .diagram import PersistenceDiagram
 
@@ -99,14 +98,17 @@ class MeshFrame:
 
 
 def _bulk_block(block: list[str], width: int, dtype) -> np.ndarray | None:
-    """Lines of exactly ``width`` fields as one array, converted in one pass;
-    None (per-line parsing takes over) on any other field count or bad field."""
-    if any(len(line.split()) != width for line in block):
-        return None
+    """Lines of exactly ``width`` fields as one array, read by numpy's C
+    reader, which reads every field it accepts as ``float()``/``int()`` do;
+    None (per-line parsing takes over) on any other field count or a field
+    it rejects, such as ``1_0``, a non-ASCII digit or an int past 64 bits."""
+    if not block:
+        return np.empty((0, width), dtype=dtype)
     try:
-        return np.array(" ".join(block).split(), dtype=dtype).reshape(-1, width)
-    except (ValueError, OverflowError):
+        rows = np.loadtxt(block, dtype=dtype, ndmin=2)
+    except ValueError:
         return None
+    return rows if rows.shape == (len(block), width) else None
 
 
 def parse_off(text: str) -> TriangleMesh:
@@ -271,8 +273,11 @@ def triangle_edges(mesh: TriangleMesh) -> np.ndarray:
     n = mesh.vertex_count
     a = mesh.triangles[:, [0, 1, 0]].ravel()
     b = mesh.triangles[:, [1, 2, 2]].ravel()
-    keys = np.unique(np.minimum(a, b) * n + np.maximum(a, b))
-    return np.column_stack(np.divmod(keys, n))
+    # A sort and a neighbour mask: np.unique takes a slow path on int64 keys.
+    keys = np.sort(np.minimum(a, b) * n + np.maximum(a, b))
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    return np.column_stack(np.divmod(keys[first], n))
 
 
 def _check_graph(values, edges) -> tuple[np.ndarray, np.ndarray]:
@@ -333,14 +338,19 @@ def mesh_zero_persistence(mesh: TriangleMesh, values) -> PersistenceDiagram:
     return zero_persistence(f, triangle_edges(mesh))
 
 
-def _sublevel_components(f, edges, level) -> tuple[DisjointSet, list[int]]:
-    alive = [i for i, x in enumerate(f) if x <= level]
-    ds = DisjointSet(alive)
-    present = set(alive)
+def _root(parent: dict[int, int], i: int) -> int:
+    while parent[i] != i:
+        i = parent[i]
+    return i
+
+
+def _sublevel_components(f, edges, level) -> dict[int, int]:
+    """Union-find parents of the vertices at or below ``level``."""
+    parent = {i: i for i, x in enumerate(f) if x <= level}
     for a, b in edges:
-        if a in present and b in present and max(f[a], f[b]) <= level:
-            ds.merge(a, b)
-    return ds, alive
+        if a in parent and b in parent and max(f[a], f[b]) <= level:
+            parent[_root(parent, a)] = _root(parent, b)
+    return parent
 
 
 def beta0(values, edges, u: float, v: float) -> int:
@@ -354,12 +364,10 @@ def beta0(values, edges, u: float, v: float) -> int:
     if u > v:
         raise ValueError(f"need u <= v, got u={u}, v={v}")
     f, edges = (x.tolist() for x in _check_graph(values, edges))
-    ds_u, alive_u = _sublevel_components(f, edges, u)
-    if not alive_u:
-        return 0
-    ds_v, _ = _sublevel_components(f, edges, v)
-    reps = {ds_u[i] for i in alive_u}
-    return len({ds_v[r] for r in reps})
+    below_u = _sublevel_components(f, edges, u)
+    below_v = _sublevel_components(f, edges, v)
+    reps = {_root(below_u, i) for i in below_u}
+    return len({_root(below_v, r) for r in reps})
 
 
 def multiplicity0(values, edges, u: float, v: float, eps: float | None = None) -> int:

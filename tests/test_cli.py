@@ -7,6 +7,8 @@ same way a shell user would drive it.
 import hashlib
 import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -565,3 +567,15 @@ def test_first_overflowing_diagram_in_database_order_is_reported(tmp_path, capsy
     (d / "b.csv").unlink()
     assert run("embed", "--diagrams", str(d), "--transform", "R", "--out", str(out)) == 1
     assert capsys.readouterr().err == "error: coefficient 2 overflowed the float range\n"
+
+
+def test_importing_the_cli_loads_no_scipy():
+    """Every command pays for what ``persvec.cli`` imports; scipy is loaded
+    on first use, by the bottleneck distance only."""
+    import persvec
+
+    src = os.path.dirname(os.path.dirname(persvec.__file__))
+    code = "import sys, persvec.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"

@@ -184,7 +184,7 @@ def fuzzed_off(rng):
 
     verts = [[f"{rng.uniform(-9, 9):.{rng.randint(0, 6)}f}" for _ in range(3)] for _ in range(n)]
     faces = [["3"] + [str(i) for i in rng.sample(range(n), 3)] for _ in range(m)]
-    defect = rng.randrange(16)
+    defect = rng.randrange(20)
     if defect == 0:  # colour tokens on a vertex line
         rng.choice(verts).extend(["0.5", "0.25", "1"])
     elif defect == 1 and m:  # colour tokens on a face line
@@ -214,6 +214,18 @@ def fuzzed_off(rng):
         rng.choice(verts).pop()
     elif defect == 11:  # non-finite coordinate
         rng.choice(verts)[1] = rng.choice(["nan", "inf", "-Infinity"])
+    elif defect == 15:  # a non-ASCII digit, which float() and int() accept
+        if m and rng.random() < 0.5:
+            rng.choice(faces)[rng.randrange(1, 4)] = "\u0663"
+        else:
+            rng.choice(verts)[rng.randrange(3)] = "\u0663"
+    elif defect == 16:  # Unicode whitespace between fields (\x0b also ends a line)
+        seps.append(rng.choice(["\xa0", "\u2003", "\x0b"]))
+    elif defect == 17:  # numerals at the edge of float()'s syntax
+        rng.choice(verts)[rng.randrange(3)] = rng.choice(["inf", "nan", "1e400", ".5", "1.", "+1"])
+    elif defect == 18:  # a NUL after a field
+        row = rng.choice(faces) if m and rng.random() < 0.5 else rng.choice(verts)
+        row[rng.randrange(len(row))] += "\x00"
     body = [join(v) for v in verts] + [join(f) for f in faces]
     if defect == 12:  # surplus body lines are ignored
         body.append("1 2 3")
@@ -697,9 +709,17 @@ def test_sweep_agrees_with_rank_oracle_under_ties(graph):
 
 def test_triangle_edges_is_sorted_int64_array():
     rng = random.Random(606)
+    cases = []
     for _ in range(30):
         n = rng.randint(3, 40)
-        tris = [rng.sample(range(n), 3) for _ in range(rng.randint(0, 3 * n))]
+        cases.append((n, [rng.sample(range(n), 3) for _ in range(rng.randint(0, 3 * n))]))
+    cases.append((5, []))  # zero triangles
+    cases.append((6, [[0, 1, 2], [2, 1, 0], [0, 1, 2], [1, 2, 0], [5, 4, 3], [3, 4, 5], [0, 1, 2]]))
+    big = 2**16 + 7  # keys lo * n + hi pass 32 bits
+    tris = [rng.sample(range(big), 3) for _ in range(300)]
+    tris += [t[::-1] for t in tris[:50]] + tris[:50] + [[big - 1, big - 2, big - 3], [0, 1, big - 1]]
+    cases.append((big, tris))
+    for n, tris in cases:
         edges = triangle_edges(TriangleMesh(np.zeros((n, 3)), tris))
         want = sorted({(min(x, y), max(x, y)) for a, b, c in tris for x, y in ((a, b), (b, c), (a, c))})
         assert edges.dtype == np.int64 and edges.shape == (len(want), 2)
