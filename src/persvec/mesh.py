@@ -16,6 +16,7 @@ independent check on the union-find sweep.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,12 +102,18 @@ def _bulk_block(block: list[str], width: int, dtype) -> np.ndarray | None:
     """Lines of exactly ``width`` fields as one array, read by numpy's C
     reader, which reads every field it accepts as ``float()``/``int()`` do;
     None (per-line parsing takes over) on any other field count or a field
-    it rejects, such as ``1_0``, a non-ASCII digit or an int past 64 bits."""
+    it rejects, such as ``1_0``, a non-ASCII digit or an int past 64 bits.
+
+    From numpy 1.23 on, a release may read an int field such as ``1.5``
+    or ``1e1`` through float and truncate it, with only a
+    DeprecationWarning; raised as an error, that warning rejects the field."""
     if not block:
         return np.empty((0, width), dtype=dtype)
     try:
-        rows = np.loadtxt(block, dtype=dtype, ndmin=2)
-    except ValueError:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            rows = np.loadtxt(block, dtype=dtype, ndmin=2)
+    except (ValueError, DeprecationWarning):
         return None
     return rows if rows.shape == (len(block), width) else None
 
@@ -340,6 +347,7 @@ def mesh_zero_persistence(mesh: TriangleMesh, values) -> PersistenceDiagram:
 
 def _root(parent: dict[int, int], i: int) -> int:
     while parent[i] != i:
+        parent[i] = parent[parent[i]]  # path halving
         i = parent[i]
     return i
 

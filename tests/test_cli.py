@@ -579,3 +579,22 @@ def test_importing_the_cli_loads_no_scipy():
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout == "[]\n"
+
+
+def test_fractional_face_index_fails_under_default_warning_filters(tmp_path):
+    """``diagram`` as run from a shell, where a DeprecationWarning is
+    ignored: a face index of ``1.5`` is an error, never truncated to 1."""
+    import persvec
+
+    mesh = tmp_path / "m.off"
+    mesh.write_text("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1.5 2\n")
+    out = tmp_path / "out.csv"
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(persvec.__file__))
+    code = "import sys; from persvec.cli import main; sys.exit(main(sys.argv[1:]))"
+    argv = ["diagram", "--mesh", str(mesh), "--filter", "line", "--out", str(out)]
+    proc = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("error:") and len(proc.stderr.strip().splitlines()) == 1, proc.stderr
+    assert "1.5" in proc.stderr
+    assert not out.exists()

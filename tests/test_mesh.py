@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -198,7 +199,7 @@ def fuzzed_off(rng):
     elif defect == 4:  # malformed coordinate
         rng.choice(verts)[rng.randrange(3)] = rng.choice(["1.2.3", "abc", "1e", "--1", "0x1"])
     elif defect == 5 and m:  # malformed index
-        rng.choice(faces)[rng.randrange(1, 4)] = rng.choice(["1.0", "x", "1e1", "0x1"])
+        rng.choice(faces)[rng.randrange(1, 4)] = rng.choice(["1.0", "1.5", "x", "1e1", "0x1"])
     elif defect == 6:  # underscores are valid Python numerals
         rng.choice(verts)[0] = "1_0.5"
         if m:
@@ -261,6 +262,27 @@ def test_parse_off_matches_per_line_parser():
         assert parse_outcome(parse_off, text) == want, text
         kinds[want[0]] += 1
     assert kinds["ok"] > 200 and kinds["error"] > 200, kinds
+
+
+def test_parse_off_refuses_ints_read_through_float(monkeypatch):
+    """From numpy 1.23 on, a release may read an int field such as ``1.5``
+    through float and truncate it, with only a DeprecationWarning, which
+    is ignored by default outside pytest.  Such a reader must not turn
+    ``3 0 1.5 2`` into the triangle (0, 1, 2)."""
+    real = np.loadtxt
+
+    def truncating_loadtxt(block, dtype=float, **kwargs):
+        if dtype is not np.int64:
+            return real(block, dtype=dtype, **kwargs)
+        warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.", DeprecationWarning)
+        return real(block, dtype=float, **kwargs).astype(np.int64)
+
+    monkeypatch.setattr(np, "loadtxt", truncating_loadtxt)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)
+        with pytest.raises(ValueError, match="malformed face line '3 0 1.5 2'"):
+            parse_off("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1.5 2\n")
+        assert parse_off("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n").triangles.tolist() == [[0, 1, 2]]
 
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
