@@ -23,6 +23,7 @@ import sys
 
 import numpy as np
 
+from .coefficients import _check_width
 from .diagram import parse_diagram, serialize_diagram
 from .mesh import (
     FILTERS,
@@ -152,12 +153,11 @@ def _cmd_query(args) -> int:
         match = diagrams.get(e.model_id)
         if match is None:
             raise ValueError(f"no diagram file for indexed model {e.model_id!r}")
-        if match.total_multiplicity() > width:
-            raise ValueError(
-                f"diagram {e.model_id!r} has {match.total_multiplicity()} points, "
-                f"more than the index width {width}; re-embed the database with "
-                f"`embed` to enlarge it"
-            )
+        try:
+            _check_width(match.total_multiplicity(), width)
+        except ValueError as exc:
+            raise ValueError(f"diagram {e.model_id!r}: {exc}; re-embed the database "
+                             "with `embed` to enlarge the width") from None
         entries.append(DatabaseEntry(e.model_id, e.label, match, dict(e.vectors)))
     db = LabeledDatabase(tuple(entries))
     ranking = two_stage_query(args.id, db, kind, args.metric, args.candidates)

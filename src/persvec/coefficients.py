@@ -28,8 +28,7 @@ from typing import Iterable
 import numpy as np
 
 from .diagram import _merged
-from .transforms import ComplexRootList
-from .transforms import transform_columns, transform_diagram
+from .transforms import ComplexRootList, _finite_roots, transform_columns, transform_diagram
 
 
 @dataclass(frozen=True)
@@ -46,17 +45,14 @@ class CoefficientVector:
     width: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.width, int) or self.width < 1:
-            raise ValueError(f"width must be a positive integer, got {self.width}")
+        width = _positive_width(self.width)
         coeffs = tuple(complex(c) for c in self.coefficients)
-        if not 1 <= len(coeffs) <= self.width:
-            raise ValueError(
-                f"need between 1 and {self.width} coefficients, got {len(coeffs)}"
-            )
+        _check_count(len(coeffs), width)
         for j, c in enumerate(coeffs, start=1):
             if not (math.isfinite(c.real) and math.isfinite(c.imag)):
                 raise ValueError(f"coefficient {j} is not finite: {c}")
         object.__setattr__(self, "coefficients", coeffs)
+        object.__setattr__(self, "width", width)
 
     @property
     def count(self) -> int:
@@ -64,16 +60,29 @@ class CoefficientVector:
 
     def truncate(self, count: int) -> "CoefficientVector":
         """Drop trailing coefficients, keeping the first ``count``."""
-        if not 1 <= count <= self.count:
-            raise ValueError(f"cannot truncate {self.count} coefficients to {count}")
+        _check_count(count, self.count)
         return CoefficientVector(self.coefficients[:count], self.width)
+
+
+def _positive_width(width) -> int:
+    """The width rule: a positive integer (numpy integers too, bools not), returned as an int."""
+    width = width.item() if isinstance(width, np.generic) else width
+    if type(width) is not int or width < 1:
+        raise ValueError(f"width must be a positive integer, got {width!r}")
+    return width
+
+
+def _check_count(count: int | None, limit: int) -> int:
+    """The count rule: from 1 to ``limit`` coefficients; None is floor(sqrt(limit)), the default."""
+    count = math.isqrt(limit) if count is None else count
+    if not 1 <= count <= limit:
+        raise ValueError(f"count must be between 1 and {limit}, got {count}")
+    return count
 
 
 def default_coefficient_count(width: int) -> int:
     """floor(sqrt(width)): the default number of coefficients to keep."""
-    if width < 1:
-        raise ValueError(f"width must be positive, got {width}")
-    return math.isqrt(width)
+    return _check_count(None, _positive_width(width))
 
 
 # roots per kernel block: bounds the kernel's memory whatever the database's size
@@ -106,13 +115,10 @@ def _prefix_esp(re: np.ndarray, im: np.ndarray, count: int) -> np.ndarray:
     return out
 
 
-def _overflow(coeffs: np.ndarray) -> tuple[int, OverflowError] | None:
-    """The first row holding a non-finite coefficient, with the error naming the lowest one."""
-    bad = ~np.isfinite(coeffs)
-    if not bad.any():
-        return None
-    row = int(np.argmax(bad.any(axis=1)))
-    return row, OverflowError(f"coefficient {int(np.argmax(bad[row])) + 1} overflowed the float range")
+def _overflow(coeffs: np.ndarray) -> OverflowError | None:
+    """The error naming a vector's lowest non-finite coefficient; None if every one is finite."""
+    bad = np.flatnonzero(~np.isfinite(coeffs))
+    return OverflowError(f"coefficient {bad[0] + 1} overflowed the float range") if len(bad) else None
 
 
 def elementary_symmetric(roots: Iterable[complex], count: int) -> tuple[complex, ...]:
@@ -124,23 +130,12 @@ def elementary_symmetric(roots: Iterable[complex], count: int) -> tuple[complex,
     """
     if count < 0:
         raise ValueError(f"count must be non-negative, got {count}")
-    z = np.fromiter(roots, dtype=complex)
-    finite = np.isfinite(z)
-    if not finite.all():
-        raise ValueError(f"non-finite root {complex(z[np.argmin(finite)])}")
+    z = _finite_roots(np.fromiter(roots, dtype=complex))
     z = z[z != 0]
-    coeffs = _prefix_esp(z.real[None], z.imag[None], count)
+    coeffs = _prefix_esp(z.real[None], z.imag[None], count)[0]
     if (failure := _overflow(coeffs)) is not None:
-        raise failure[1]
-    return tuple(coeffs[0].tolist())
-
-
-def _checked_count(width: int, count: int | None) -> int:
-    if count is None:
-        count = default_coefficient_count(width)
-    if not 1 <= count <= width:
-        raise ValueError(f"count must be between 1 and the width {width}, got {count}")
-    return count
+        raise failure
+    return tuple(coeffs.tolist())
 
 
 def _check_width(size: int, width: int) -> None:
@@ -154,8 +149,9 @@ def embed_roots(roots: ComplexRootList, width: int, count: int | None = None) ->
 
     ``count`` defaults to floor(sqrt(width)) and must lie in [1, width].
     """
+    width = _positive_width(width)
     _check_width(roots.width, width)
-    count = _checked_count(width, count)
+    count = _check_count(count, width)
     z = np.repeat(roots.values, roots.multiplicities)
     return CoefficientVector(elementary_symmetric(z, count), width)
 
@@ -203,7 +199,8 @@ def embed_diagrams(diagrams, kind: str, width: int, count: int | None = None) ->
 def _embed_pass(diagrams: list, kind: str, width: int, count: int | None) -> list[CoefficientVector]:
     if not diagrams:
         return []
-    count = _checked_count(width, count)
+    width = _positive_width(width)
+    count = _check_count(count, width)
     _check_width(max(d.total_multiplicity() for d in diagrams), width)
     owner = np.repeat(np.arange(len(diagrams)), [len(d) for d in diagrams])
     u, v = (np.concatenate([getattr(d, c) for d in diagrams]) for c in ("births", "deaths"))

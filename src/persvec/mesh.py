@@ -29,15 +29,17 @@ def _index_rows(entries, width: int, vertices: int, what: str) -> np.ndarray:
 
     The index-row rule: each row names ``width`` distinct vertices out of
     ``vertices``, by integer indices.  The first row that breaks it is a
-    ValueError; a fractional or non-finite entry is never truncated.
+    ValueError; a fractional or non-finite entry is never truncated, and
+    an int past 64 bits (in an object array) never wraps.
     """
     rows = np.asarray(entries)
     if rows.size == 0:
         rows = rows.reshape(0, width)
-    if rows.ndim != 2 or rows.shape[1] != width or rows.dtype.kind not in "biuf":
+    wide = rows.dtype == object and all(isinstance(x, int) for x in rows.flat)  # ints past 64 bits
+    if rows.ndim != 2 or rows.shape[1] != width or not (wide or rows.dtype.kind in "biuf"):
         raise ValueError(f"{what}s must be an (m, {width}) index array")
     with np.errstate(invalid="ignore"):
-        ints = rows.astype(np.int64)
+        ints = (rows.clip(-(2**63), 2**63 - 1) if wide else rows).astype(np.int64, copy=False)
     cols = ints.view(np.uint64).T  # a negative index wraps past any vertex count
     bad = np.zeros(len(rows), dtype=bool)
     for i in range(width):
@@ -57,7 +59,7 @@ def _index_rows(entries, width: int, vertices: int, what: str) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class TriangleMesh:
-    """Vertex positions (n, 3) and triangle index triples (m, 3)."""
+    """Vertex positions (n, 3) and triangle index triples (m, 3), held as read-only views."""
 
     vertices: np.ndarray
     triangles: np.ndarray
@@ -68,9 +70,18 @@ class TriangleMesh:
             raise ValueError("vertices must be an (n, 3) array with n >= 1")
         if not np.all(np.isfinite(verts)):
             raise ValueError("vertex coordinates must be finite")
-        tris = _index_rows(self.triangles, 3, len(verts), "triangle")
-        object.__setattr__(self, "vertices", verts)
-        object.__setattr__(self, "triangles", tris)
+        self._hold(verts, _index_rows(self.triangles, 3, len(verts), "triangle"))
+
+    @classmethod
+    def _trusted(cls, vertices: np.ndarray, triangles: np.ndarray) -> "TriangleMesh":
+        """A mesh from finite (n, 3) floats and triangles already checked by :func:`_index_rows`."""
+        return object.__new__(cls)._hold(vertices, triangles)
+
+    def _hold(self, vertices: np.ndarray, triangles: np.ndarray) -> "TriangleMesh":
+        for name, view in (("vertices", vertices.view()), ("triangles", triangles.view())):
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
+        return self
 
     @property
     def vertex_count(self) -> int:
@@ -168,7 +179,7 @@ def parse_off(text: str) -> TriangleMesh:
     faces = _bulk_block(lines[pos : pos + n_faces], 4, np.int64)
     if faces is not None and np.all(faces[:, 0] == 3):
         return TriangleMesh(vertices, faces[:, 1:])
-    triangles = np.empty((n_faces, 3), dtype=int)
+    triangles = []
     for i in range(n_faces):
         fields = lines[pos + i].split()
         try:
@@ -180,12 +191,13 @@ def parse_off(text: str) -> TriangleMesh:
         if len(fields) < 4:
             raise ValueError(f"face line {i} is missing indices")
         try:
-            triangles[i] = [int(fields[1]), int(fields[2]), int(fields[3])]
+            triangles.append([int(fields[1]), int(fields[2]), int(fields[3])])
         except ValueError:
             raise ValueError(f"malformed face line {lines[pos + i]!r}") from None
-        except OverflowError:
-            raise ValueError(f"face {i} has an index that is not a 64-bit integer") from None
-    return TriangleMesh(vertices, triangles)
+    try:
+        return TriangleMesh(vertices, np.array(triangles, dtype=np.int64))
+    except OverflowError:  # an index past 64 bits, which the index-row rule names
+        return TriangleMesh(vertices, np.array(triangles, dtype=object))
 
 
 # ---------------------------------------------------------------- frame
@@ -236,7 +248,7 @@ def normalize_mesh(mesh: TriangleMesh, center: np.ndarray) -> TriangleMesh:
         raise ValueError("vertex coordinates too large: the farthest vertex's distance overflows")
     if radius == 0.0:
         raise ValueError("all vertices coincide with the center; cannot normalize")
-    return TriangleMesh(offsets / radius, mesh.triangles)
+    return TriangleMesh._trusted(offsets / radius, mesh.triangles)
 
 
 # -------------------------------------------------------------- filters

@@ -27,7 +27,7 @@ from typing import Mapping
 import numpy as np
 import orjson
 
-from .coefficients import CoefficientVector, embed_diagrams
+from .coefficients import CoefficientVector, _check_count, embed_diagrams
 from .coefficients import embed_diagram  # noqa: F401 -- perfbench's tracer wraps it here
 from .diagram import PersistenceDiagram, _BadRow, _parse_rows, _records
 from .metrics import _check_metric, _coefficient_rows, bottleneck_distance
@@ -224,7 +224,7 @@ def _stacked_vectors(db: LabeledDatabase, transform: str, count: int | None) -> 
             raise ValueError(f"entry {e.model_id!r} has no {transform!r} embedding")
         rows.append(vec.coefficients)
     if count is not None and rows:
-        vec.truncate(count)  # every vector has one shape, so one range check covers all
+        _check_count(count, vec.count)  # every vector has one shape, so one check covers all
     return np.array(rows, dtype=complex)[..., :count]
 
 

@@ -32,6 +32,14 @@ from .diagram import _exact_multiplicity, _merged
 _SQRT2 = math.sqrt(2.0)
 
 
+def _finite_roots(values: np.ndarray) -> np.ndarray:
+    """The finite-root rule: an array of root ``values`` is returned if every one is finite."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        raise ValueError(f"non-finite root {complex(values[np.argmin(finite)])}")
+    return values
+
+
 @dataclass(frozen=True)
 class ComplexRoot:
     """One complex root with a multiplicity under the diagrams' rule, stored as an int."""
@@ -40,8 +48,7 @@ class ComplexRoot:
     multiplicity: int = 1
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.value.real) and math.isfinite(self.value.imag)):
-            raise ValueError(f"non-finite root {self.value}")
+        _finite_roots(np.array([self.value]))
         if not (multiplicity := _exact_multiplicity(self.multiplicity)):
             raise ValueError(f"multiplicity {self.multiplicity!r} is not an integer "
                              "from 1 to 2**63 - 1")

@@ -13,6 +13,7 @@ import sys
 import numpy as np
 import pytest
 
+from persvec import mesh as mesh_module
 from persvec.cli import main
 from persvec.diagram import parse_diagram
 from persvec.retrieval import (
@@ -277,7 +278,7 @@ def test_bad_index_row_is_one_error_line_naming_it(tmp_path, capsys):
     out = tmp_path / "mat.csv"
     capsys.readouterr()
     assert run("dist", "--index", str(index), "--metric", "d1", "--out", str(out)) == 1
-    assert capsys.readouterr().err == "error: line 2: need between 1 and 3 coefficients, got 0\n"
+    assert capsys.readouterr().err == "error: line 2: count must be between 1 and 3, got 0\n"
     assert not out.exists()
 
 
@@ -323,7 +324,8 @@ def test_malformed_off_is_one_error_line(tmp_path, capsys):
         assert err.startswith("error:") and len(err.strip().splitlines()) == 1, name
         assert not out.exists(), name
         if name == "index.off":
-            assert err.strip() == "error: face 0 has an index that is not a 64-bit integer"
+            assert err.strip() == ("error: triangle (0, 1, 99999999999999999999) has an index that is not "
+                                   "a 64-bit integer")
         if name in ("huge.off", "far.off"):  # the sum or the squares overflow
             assert err.startswith("error: vertex coordinates too large"), name
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(bodies)
@@ -567,6 +569,21 @@ def test_first_overflowing_diagram_in_database_order_is_reported(tmp_path, capsy
     (d / "b.csv").unlink()
     assert run("embed", "--diagrams", str(d), "--transform", "R", "--out", str(out)) == 1
     assert capsys.readouterr().err == "error: coefficient 2 overflowed the float range\n"
+
+
+def test_diagram_checks_the_triangles_once(tmp_path, monkeypatch):
+    checked = []
+
+    def spy(entries, width, vertices, what):
+        checked.append(what)
+        return real(entries, width, vertices, what)
+
+    real = mesh_module._index_rows
+    monkeypatch.setattr(mesh_module, "_index_rows", spy)
+    (tmp_path / "m.off").write_text(capsule_off(1.5, 0.5))
+    out = tmp_path / "m.csv"
+    assert run("diagram", "--mesh", str(tmp_path / "m.off"), "--filter", "line", "--out", str(out)) == 0
+    assert checked == ["triangle", "edge"]
 
 
 def test_importing_the_cli_loads_no_scipy():

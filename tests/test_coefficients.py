@@ -174,6 +174,18 @@ def test_non_finite_root_rejected():
         elementary_symmetric([complex(0, math.nan)], 1)
 
 
+@pytest.mark.parametrize("root", [complex(math.inf, 0), complex(0, math.nan), complex(-math.inf, math.nan)])
+def test_every_entry_point_keeps_one_finite_root_rule(root):
+    calls = {
+        "ComplexRoot": lambda: ComplexRoot(root, 2),
+        "elementary_symmetric": lambda: elementary_symmetric([1j, 0j, root, complex(math.nan, 0)], 2),
+    }
+    for name, call in calls.items():
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == f"non-finite root {root}", name
+
+
 def test_embed_roots_defaults_and_padding():
     rl = ComplexRootList((ComplexRoot(1 + 1j), ComplexRoot(2 - 1j, 2)))
     vec = embed_roots(rl, width=16)
@@ -275,8 +287,8 @@ def test_kernel_is_the_scalar_loop_bit_for_bit(rows, count):
         block[i, : len(row)] = row
     got = _prefix_esp(block.real.copy(), block.imag.copy(), count)
     for i, row in enumerate(rows):
-        failure = _overflow(got[i : i + 1])
-        got_row = (OverflowError, str(failure[1])) if failure else bits(got[i])
+        failure = _overflow(got[i])
+        got_row = bits(got[i]) if failure is None else (OverflowError, str(failure))
         assert got_row == outcome(scalar_esp, row, count)
 
 

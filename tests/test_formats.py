@@ -43,7 +43,7 @@ from persvec.transforms import TRANSFORMS
     "parse, text, message",
     [
         (parse_diagram, "# d\n0,1\n\n# note\n   \n0,x\n", "line 6: malformed number"),
-        (parse_index, "# coefficient-index v1\n\n# note\na,R,3,0\n", "line 4: need between"),
+        (parse_index, "# coefficient-index v1\n\n# note\na,R,3,0\n", "line 4: count must be between"),
         (parse_matrix, "a,b\n\n# note\n0.0,1.0\n1.0\n", "line 5: matrix row has 1 fields"),
         (parse_matrix, "a,b\n# note\n\n0.0,x\n1.0,0.0\n", "line 4: matrix row has a malformed"),
         (parse_labels, "id,class\n\n\na,x\nb\n", "line 5: label must not be empty"),

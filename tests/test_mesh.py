@@ -111,8 +111,8 @@ def test_parse_off_comments_and_colors():
 
 
 def per_line_parse_off(text):
-    """The per-line OFF parser as first written, kept as the reference; an
-    int64-overflowing face index is a ValueError naming the face."""
+    """The per-line OFF parser as first written, kept as the reference; a
+    face index past 64 bits is left to TriangleMesh's index-row rule."""
     lines = []
     for raw in text.splitlines():
         stripped = raw.split("#", 1)[0].strip()
@@ -151,7 +151,7 @@ def per_line_parse_off(text):
         except ValueError:
             raise ValueError(f"malformed vertex line {lines[pos + i]!r}") from None
     pos += n_vertices
-    triangles = np.empty((n_faces, 3), dtype=int)
+    triangles = []
     for i in range(n_faces):
         fields = lines[pos + i].split()
         try:
@@ -163,12 +163,10 @@ def per_line_parse_off(text):
         if len(fields) < 4:
             raise ValueError(f"face line {i} is missing indices")
         try:
-            triangles[i] = [int(fields[1]), int(fields[2]), int(fields[3])]
+            triangles.append([int(fields[1]), int(fields[2]), int(fields[3])])
         except ValueError:
             raise ValueError(f"malformed face line {lines[pos + i]!r}") from None
-        except OverflowError:
-            raise ValueError(f"face {i} has an index that is not a 64-bit integer") from None
-    return TriangleMesh(vertices, triangles)
+    return TriangleMesh(vertices, np.array(triangles, dtype=object))
 
 
 def fuzzed_off(rng):
@@ -583,14 +581,33 @@ SQUARE = "OFF\n4 2 0\n0 0 0\n1 0 0\n1 1 0\n0 1 0\n"
         (lambda: parse_off(SQUARE + "3 0 1 2\n3 0 2 0\n"), "triangle (0, 2, 0) repeats a vertex"),
         (lambda: parse_off(SQUARE + "3 0 1 2\n3 0 2 4 255 0 0\n"),
          "triangle (0, 2, 4) is out of range for 4 vertices"),
+        (lambda: parse_off(SQUARE + "3 0 1 9\n3 0 1 99999999999999999999\n"),
+         "triangle (0, 1, 9) is out of range for 4 vertices"),
+        (lambda: parse_off(SQUARE + "3 0 1 2\n3 0 2 -99999999999999999999 255\n"),
+         "triangle (0, 2, -99999999999999999999) has an index that is not a 64-bit integer"),
     ],
     ids=["TriangleMesh repeat", "TriangleMesh range", "TriangleMesh fraction", "zero_persistence repeat",
-         "zero_persistence range", "zero_persistence fraction", "parse_off repeat", "parse_off range"],
+         "zero_persistence range", "zero_persistence fraction", "parse_off repeat", "parse_off range",
+         "parse_off range before overflow", "parse_off per-line overflow"],
 )
 def test_every_entry_point_keeps_one_index_row_rule(build, message):
     with pytest.raises(ValueError) as exc:
         build()
     assert str(exc.value) == message
+
+
+def test_triangle_mesh_holds_read_only_views_of_its_input():
+    vertices, triangles = np.eye(3), np.array([[0, 1, 2]])
+    meshes = [TriangleMesh(vertices, triangles)]
+    meshes.append(normalize_mesh(meshes[0], center_of_mass(meshes[0])))
+    for mesh in meshes:
+        assert not mesh.vertices.flags.writeable and not mesh.triangles.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            mesh.triangles[0, 0] = 1
+    assert vertices.flags.writeable and triangles.flags.writeable
+    assert np.shares_memory(meshes[0].vertices, vertices)  # a view, not a copy
+    assert np.shares_memory(meshes[0].triangles, triangles)
+    assert meshes[1].triangles.base is meshes[0].triangles.base  # checked once, then reused
 
 
 def test_mesh_zero_persistence_single_triangle():

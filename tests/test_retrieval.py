@@ -9,7 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import persvec.retrieval as retrieval
-from persvec.coefficients import CoefficientVector
+from persvec.coefficients import (
+    CoefficientVector,
+    default_coefficient_count,
+    embed_diagram,
+    embed_diagrams,
+    embed_roots,
+)
 from persvec.diagram import PersistenceDiagram
 from persvec.metrics import COEFFICIENT_METRICS, bottleneck_distance, coefficient_distance
 from persvec.retrieval import (
@@ -32,7 +38,7 @@ from persvec.retrieval import (
     synthetic_database,
     two_stage_query,
 )
-from persvec.transforms import TRANSFORMS
+from persvec.transforms import TRANSFORMS, transform_diagram
 
 
 def diagram_db(diagrams, labels=None):
@@ -477,9 +483,9 @@ def test_two_stage_query_errors():
         two_stage_query("m00", db, "R", "bottleneck", candidates=2)
     k = db.entries[0].vectors["R"].count
     for count in (0, k + 1):
-        with pytest.raises(ValueError, match=f"^cannot truncate {k} coefficients to {count}$"):
+        with pytest.raises(ValueError, match=f"^count must be between 1 and {k}, got {count}$"):
             two_stage_query("m00", db, "R", "d1", candidates=2, count=count)
-        with pytest.raises(ValueError, match=f"^cannot truncate {k} coefficients to {count}$"):
+        with pytest.raises(ValueError, match=f"^count must be between 1 and {k}, got {count}$"):
             distance_matrix(db, "d1", transform="R", count=count)
 
 
@@ -498,6 +504,65 @@ def test_every_entry_point_keeps_one_metric_kind_rule(kind):
         with pytest.raises(ValueError) as exc:
             call()
         assert str(exc.value) == f"unknown metric {kind!r}, expected one of ('d1', 'd2', 'd3')", name
+
+
+@pytest.mark.parametrize("count", [0, 4])
+@pytest.mark.parametrize(
+    "entry",
+    ["embed_roots", "embed_diagram", "embed_diagrams", "CoefficientVector", "truncate",
+     "distance_matrix", "two_stage_query", "parse_index"],
+)
+def test_every_entry_point_keeps_one_count_rule(entry, count):
+    d = PersistenceDiagram.from_pairs([(0, 1), (0.5, 2), (1, 3)])  # width 3
+    db = embed_database(diagram_db([d, d]), "R", 3)  # every vector keeps all 3 coefficients
+    row = ",".join(["a", "R", "3", str(count)] + ["0.5"] * (2 * count))
+    call = {
+        "embed_roots": lambda: embed_roots(transform_diagram(d, "R"), 3, count),
+        "embed_diagram": lambda: embed_diagram(d, "R", 3, count),
+        "embed_diagrams": lambda: embed_diagrams([d, d], "R", 3, count),
+        "CoefficientVector": lambda: CoefficientVector((0.5j,) * count, 3),
+        "truncate": lambda: db.entries[0].vectors["R"].truncate(count),
+        "distance_matrix": lambda: distance_matrix(db, "d1", transform="R", count=count),
+        "two_stage_query": lambda: two_stage_query("m00", db, "R", "d1", candidates=1, count=count),
+        "parse_index": lambda: parse_index(f"# coefficient-index v1\n{row}\n"),
+    }[entry]
+    with pytest.raises(ValueError) as exc:
+        call()
+    prefix = "line 2: " if entry == "parse_index" else ""
+    assert str(exc.value) == f"{prefix}count must be between 1 and 3, got {count}"
+
+
+@pytest.mark.parametrize(
+    "width", [0, -2, 2.0, "2", True, np.True_, np.float64(2)],
+    ids=["0", "-2", "float", "str", "True", "numpy True", "numpy float"],
+)
+def test_every_entry_point_keeps_one_width_rule(width):
+    d = PersistenceDiagram.from_pairs([(0, 1)])
+    calls = {
+        "CoefficientVector": lambda: CoefficientVector((0.5j,), width),
+        "default_coefficient_count": lambda: default_coefficient_count(width),
+        "embed_roots": lambda: embed_roots(transform_diagram(d, "R"), width, 1),
+        "embed_diagram": lambda: embed_diagram(d, "R", width),
+        "embed_diagrams": lambda: embed_diagrams([d, d], "R", width),
+    }
+    shown = width.item() if isinstance(width, np.generic) else width
+    for name, call in calls.items():
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == f"width must be a positive integer, got {shown!r}", name
+
+
+def test_numpy_integer_widths_give_the_int_width_vectors():
+    d = PersistenceDiagram.from_pairs([(0, 1), (0.5, 2)])
+    for kind in TRANSFORMS:
+        want = embed_diagram(d, kind, 2)
+        for width in (np.int64(2), np.uint8(2)):
+            assert embed_diagram(d, kind, width) == want
+            assert embed_diagrams([d, d], kind, width) == [want, want]
+            vec = CoefficientVector(want.coefficients, width)
+            assert vec == want and type(vec.width) is int
+    db = LabeledDatabase((DatabaseEntry("a", "", None, {"R": CoefficientVector((0.5j,), np.int64(2))}),))
+    assert serialize_index(db).splitlines()[1] == "a,R,2,1,0.0,0.5"
 
 
 # ------------------------------------------------------------- index file
@@ -538,7 +603,7 @@ def test_index_parse_errors():
 @pytest.mark.parametrize(
     "rows, lineno, message",
     [
-        (["a,R,3,0"], 2, "need between 1 and 3 coefficients, got 0"),
+        (["a,R,3,0"], 2, "count must be between 1 and 3, got 0"),
         (["a,R,0,1,1.0,0.5"], 2, "width must be a positive integer, got 0"),
         (["a,R,3,1,inf,0.5"], 2, "coefficient 1 is not finite"),
         ([",R,3,1,1.0,0.5"], 2, "model id must not be empty"),
