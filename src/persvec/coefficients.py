@@ -80,6 +80,12 @@ def _check_count(count: int | None, limit: int) -> int:
     return count
 
 
+def _check_shape(shape: tuple[int, int], vec: CoefficientVector) -> None:
+    """The one-shape rule: vectors compare only at one (width, count) ``shape``."""
+    if (vec.width, vec.count) != shape:
+        raise ValueError(f"mixed (width, count) shapes {shape} vs {(vec.width, vec.count)}")
+
+
 def default_coefficient_count(width: int) -> int:
     """floor(sqrt(width)): the default number of coefficients to keep."""
     return _check_count(None, _positive_width(width))

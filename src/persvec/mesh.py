@@ -262,22 +262,20 @@ def _rescale_unit(raw: np.ndarray, what: str) -> np.ndarray:
     return (raw - lo) / (hi - lo)
 
 
-def filter_line(mesh: TriangleMesh, frame: MeshFrame, rescale: bool = True) -> np.ndarray:
+def filter_line(mesh: TriangleMesh, frame: MeshFrame) -> np.ndarray:
     """Distance from each vertex to the line through the frame center
-    along the frame axis, min-max rescaled to [0, 1] unless ``rescale``
-    is off."""
+    along the frame axis, min-max rescaled to [0, 1]."""
     offsets = mesh.vertices - frame.center
     along = offsets @ frame.axis
     raw = np.linalg.norm(offsets - np.outer(along, frame.axis), axis=1)
-    return _rescale_unit(raw, "line-distance filter") if rescale else raw
+    return _rescale_unit(raw, "line-distance filter")
 
 
-def filter_plane(mesh: TriangleMesh, frame: MeshFrame, rescale: bool = True) -> np.ndarray:
+def filter_plane(mesh: TriangleMesh, frame: MeshFrame) -> np.ndarray:
     """Distance from each vertex to the plane through the frame center
-    orthogonal to the frame axis, min-max rescaled to [0, 1] unless
-    ``rescale`` is off."""
+    orthogonal to the frame axis, min-max rescaled to [0, 1]."""
     raw = np.abs((mesh.vertices - frame.center) @ frame.axis)
-    return _rescale_unit(raw, "plane-distance filter") if rescale else raw
+    return _rescale_unit(raw, "plane-distance filter")
 
 
 FILTERS = {"line": filter_line, "plane": filter_plane}
@@ -390,34 +388,20 @@ def beta0(values, edges, u: float, v: float) -> int:
     return len({_root(below_v, r) for r in reps})
 
 
-def multiplicity0(values, edges, u: float, v: float, eps: float | None = None) -> int:
+def multiplicity0(values, edges, u: float, v: float) -> int:
     """Multiplicity of (u, v) as a degree-0 persistence point.
 
     Evaluates the alternating rank count
     beta0(u+e, v-e) - beta0(u-e, v-e) - beta0(u+e, v+e) + beta0(u-e, v+e)
     at a probe offset ``e`` small enough that no function value and
-    neither of u, v is crossed; by default a quarter of the smallest
-    positive gap between distinct values (capped at (v-u)/4).
+    neither of u, v is crossed: a quarter of the smallest positive gap
+    between distinct values, capped at (v-u)/4.
     """
     if not u < v:
         raise ValueError(f"(u, v) must satisfy u < v, got ({u}, {v})")
     f = _check_graph(values, edges)[0].tolist()
     levels = sorted(set(f))
-    gaps = [b - a for a, b in zip(levels, levels[1:])]
-    min_gap = min(gaps) if gaps else None
-    if eps is None:
-        eps = (v - u) / 4.0
-        if min_gap is not None:
-            eps = min(eps, min_gap / 4.0)
-    else:
-        if not (eps > 0):
-            raise ValueError(f"eps must be positive, got {eps}")
-        if eps >= (v - u) / 2.0:
-            raise ValueError(f"eps {eps} cannot separate u={u} from v={v}")
-        if min_gap is not None and eps >= min_gap / 2.0:
-            raise ValueError(
-                f"eps {eps} is too coarse for the value spacing {min_gap}"
-            )
+    eps = min([(v - u) / 4.0] + [(b - a) / 4.0 for a, b in zip(levels, levels[1:])])
     return (
         beta0(f, edges, u + eps, v - eps)
         - beta0(f, edges, u - eps, v - eps)

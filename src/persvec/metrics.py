@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .coefficients import CoefficientVector
+from .coefficients import CoefficientVector, _check_shape
 from .diagram import PersistenceDiagram
 from .transforms import _check_point
 
@@ -39,10 +39,7 @@ def coefficient_distance(a: CoefficientVector, b: CoefficientVector, kind: str) 
     Both vectors must come from the same embedding setup: equal width
     (padding degree) and equal coefficient count.
     """
-    if a.width != b.width:
-        raise ValueError(f"width mismatch: {a.width} vs {b.width}")
-    if a.count != b.count:
-        raise ValueError(f"coefficient count mismatch: {a.count} vs {b.count}")
+    _check_shape((a.width, a.count), b)
     _check_metric(kind)
     terms = [abs(x - y) for x, y in zip(a.coefficients, b.coefficients)]
     if kind == "d2":
@@ -221,19 +218,17 @@ def bottleneck_distance(a: PersistenceDiagram, b: PersistenceDiagram) -> float:
     return float(candidates[lo])
 
 
-def bottleneck_bruteforce(
-    a: PersistenceDiagram, b: PersistenceDiagram, cap: int = 8
-) -> float:
+def bottleneck_bruteforce(a: PersistenceDiagram, b: PersistenceDiagram) -> float:
     """Bottleneck by exhaustive search over all matchings.
 
     Independent cross-check for :func:`bottleneck_distance`; refuses
-    inputs with more than ``cap`` points in total (with multiplicity)
-    since the search is factorial.  Branches that already reach the best
-    max cost found so far are cut off, which never changes the minimum.
+    inputs with more than 8 points in total (with multiplicity) since
+    the search is factorial.  Branches that already reach the best max
+    cost found so far are cut off, which never changes the minimum.
     """
     total = a.total_multiplicity() + b.total_multiplicity()
-    if total > cap:
-        raise ValueError(f"{total} points exceeds exhaustive-search cap {cap}")
+    if total > 8:
+        raise ValueError(f"{total} points exceeds exhaustive-search cap 8")
     cost = _cost_matrix(a, b)
     size = cost.shape[0]
     if size == 0:

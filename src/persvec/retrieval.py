@@ -27,7 +27,7 @@ from typing import Mapping
 import numpy as np
 import orjson
 
-from .coefficients import CoefficientVector, _check_count, embed_diagrams
+from .coefficients import CoefficientVector, _check_shape, embed_diagrams
 from .coefficients import embed_diagram  # noqa: F401 -- perfbench's tracer wraps it here
 from .diagram import PersistenceDiagram, _BadRow, _parse_rows, _records
 from .metrics import _check_metric, _coefficient_rows, bottleneck_distance
@@ -79,10 +79,10 @@ class LabeledDatabase:
             if positions.setdefault(e.model_id, i) != i:
                 raise _BadRow(f"duplicate model id {e.model_id!r}", i)
             for kind, vec in e.vectors.items():
-                shape = (vec.width, vec.count)
-                if shapes.setdefault(kind, shape) != shape:
-                    raise _BadRow(f"inconsistent {kind!r} embeddings, mixed (width, count) "
-                                  f"shapes {shapes[kind]} vs {shape}", i)
+                try:
+                    _check_shape(shapes.setdefault(kind, (vec.width, vec.count)), vec)
+                except ValueError as exc:
+                    raise _BadRow(f"inconsistent {kind!r} embeddings, {exc}", i) from None
         self.entries = entries
         self._positions = positions
 
@@ -215,17 +215,15 @@ def _bottleneck_matrix(diagrams: list[PersistenceDiagram], threads: int) -> np.n
     return values
 
 
-def _stacked_vectors(db: LabeledDatabase, transform: str, count: int | None) -> np.ndarray:
-    """The entries' ``transform`` vectors, truncated to ``count``, as an (N, k) complex array."""
+def _stacked_vectors(db: LabeledDatabase, transform: str) -> np.ndarray:
+    """The entries' ``transform`` vectors as an (N, k) complex array."""
     rows = []
     for e in db.entries:
         vec = e.vectors.get(transform)
         if vec is None:
             raise ValueError(f"entry {e.model_id!r} has no {transform!r} embedding")
         rows.append(vec.coefficients)
-    if count is not None and rows:
-        _check_count(count, vec.count)  # every vector has one shape, so one check covers all
-    return np.array(rows, dtype=complex)[..., :count]
+    return np.array(rows, dtype=complex)
 
 
 def _coefficient_matrix(coeffs: np.ndarray, kind: str) -> np.ndarray:
@@ -247,13 +245,12 @@ def distance_matrix(
     db: LabeledDatabase,
     metric: str,
     transform: str | None = None,
-    count: int | None = None,
     threads: int = 1,
 ) -> DistanceMatrix:
     """All-pairs distances; each unordered pair is computed exactly once.
 
     ``metric`` is one of d1/d2/d3 (requires ``transform`` and embedded
-    vectors, optionally truncated to ``count``) or "bottleneck" (works
+    vectors, compared at their embedded count) or "bottleneck" (works
     on the diagrams directly; ``transform`` must be omitted).  The
     coefficient metrics are computed in one vectorised pass over the
     stacked vectors, and ``threads`` has no effect on them.  For the
@@ -274,7 +271,7 @@ def distance_matrix(
         _check_metric(metric)
         if transform is None:
             raise ValueError(f"metric {metric!r} needs a transform kind")
-        values = _coefficient_matrix(_stacked_vectors(db, transform, count), metric)
+        values = _coefficient_matrix(_stacked_vectors(db, transform), metric)
     return DistanceMatrix(tuple(e.model_id for e in db.entries), values)
 
 
@@ -344,7 +341,6 @@ def two_stage_query(
     transform: str,
     kind: str,
     candidates: int,
-    count: int | None = None,
 ) -> list[str]:
     """Full ranking: cheap prefilter, exact re-rank of the head.
 
@@ -361,7 +357,7 @@ def two_stage_query(
         raise ValueError(
             f"candidates must be between 1 and {len(others)}, got {candidates}"
         )
-    coeffs = _stacked_vectors(db, transform, count)
+    coeffs = _stacked_vectors(db, transform)
     ids = db.ids
     id_rank = _id_rank(ids)
     prefilter = _coefficient_rows(coeffs[qi], coeffs[others], kind)
@@ -403,7 +399,7 @@ def serialize_index(db: LabeledDatabase, kind: str | None = None) -> str:
             )
         kind = kinds.pop()
     lines = [INDEX_HEADER]
-    for e, row in zip(db.entries, _stacked_vectors(db, kind, None).tolist()):
+    for e, row in zip(db.entries, _stacked_vectors(db, kind).tolist()):
         fields = [e.model_id, kind, str(e.vectors[kind].width), str(len(row))]
         fields += [repr(x) for c in row for x in (c.real, c.imag)]
         lines.append(",".join(fields))
@@ -560,7 +556,9 @@ def parse_labels(text: str) -> dict[str, str]:
 
     def read(line: str) -> DatabaseEntry:
         mid, _, label = (f.strip() for f in line.partition(","))  # a 3rd field leaves a comma
-        return DatabaseEntry(_check_token(mid, "model id"), _check_token(label, "label"))
+        entry = DatabaseEntry(mid)  # the id first; unlike an entry's, a row's label is required
+        entry.label = _check_token(label, "label")
+        return entry
 
     return database_labels(_parse_rows(records, read, LabeledDatabase))
 

@@ -96,10 +96,9 @@ def test_criterion_02_diagram_matches_rank_multiplicities():
         got = {(p.birth, p.death): p.multiplicity for p in diag.points}
         edges = triangle_edges(mesh)
         levels = sorted(values)
-        eps = min(b - a for a, b in zip(levels, levels[1:])) / 4.0
         expected = {}
         for u, v in combinations(levels, 2):
-            m = multiplicity0(values, edges, u, v, eps)
+            m = multiplicity0(values, edges, u, v)
             if m:
                 expected[(u, v)] = m
         if got != expected:

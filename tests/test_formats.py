@@ -145,6 +145,8 @@ def test_parse_labels_applies_the_token_rule():
         parse_labels("id,class\n\na,x,y\n")
     with pytest.raises(ValueError, match=r"^line 2: model id must not be empty"):
         parse_labels("id,class\n,x\n")
+    with pytest.raises(ValueError, match=r"^line 2: model id must not be empty$"):
+        parse_labels("id,class\n,#x\n")  # a bad id is named before a bad label
 
 
 def test_interior_hash_space_and_non_ascii_are_tokens():

@@ -417,25 +417,27 @@ def test_normalize_mesh():
 
 
 def test_filter_line_hand_values():
+    # distances 1, 0, 0 and 2 from the line, so the rescale halves them
     mesh = TriangleMesh(
-        np.array([[0.6, 0.8, 0], [0, 0, 0.5], [0, 0, -0.3]]), np.zeros((0, 3), int)
+        np.array([[0.6, 0.8, 0], [0, 0, 0.5], [0, 0, -0.3], [0, 2, 0.1]]), np.zeros((0, 3), int)
     )
     frame = MeshFrame(np.zeros(3), np.array([0, 0, 1.0]))
-    raw = filter_line(mesh, frame, rescale=False)
-    assert abs(raw[0] - 1.0) < 1e-12
-    assert raw[1] == 0.0 and raw[2] == 0.0  # on the line
     scaled = filter_line(mesh, frame)
+    assert abs(scaled[0] - 0.5) < 1e-12
+    assert scaled[1] == 0.0 and scaled[2] == 0.0  # on the line
     assert scaled.min() == 0.0 and scaled.max() == 1.0
 
 
 def test_filter_plane_hand_values():
+    # distances 0.5, 0 and 1 from the plane: the rescale is the identity
     mesh = TriangleMesh(
-        np.array([[0.3, 0.4, 0.5], [0.9, -0.2, 0]]), np.zeros((0, 3), int)
+        np.array([[0.3, 0.4, 0.5], [0.9, -0.2, 0], [0.1, 0.1, -1]]), np.zeros((0, 3), int)
     )
     frame = MeshFrame(np.zeros(3), np.array([0, 0, 1.0]))
-    raw = filter_plane(mesh, frame, rescale=False)
-    assert abs(raw[0] - 0.5) < 1e-12
-    assert raw[1] == 0.0  # in the plane
+    scaled = filter_plane(mesh, frame)
+    assert abs(scaled[0] - 0.5) < 1e-12
+    assert scaled[1] == 0.0  # in the plane
+    assert scaled[2] == 1.0
 
 
 def test_filters_rigid_motion_invariant():
@@ -448,8 +450,8 @@ def test_filters_rigid_motion_invariant():
     moved = TriangleMesh(pts @ rot.T + shift, np.zeros((0, 3), int))
     moved_frame = MeshFrame(rot @ frame.center + shift, rot @ frame.axis)
     for fn in (filter_line, filter_plane):
-        a = fn(mesh, frame, rescale=False)
-        b = fn(moved, moved_frame, rescale=False)
+        a = fn(mesh, frame)
+        b = fn(moved, moved_frame)
         assert np.max(np.abs(a - b)) < 1e-12
 
 
@@ -480,7 +482,6 @@ def test_constant_filter_is_an_error():
     frame = MeshFrame(np.zeros(3), np.array([0, 0, 1.0]))
     with pytest.raises(ValueError, match="^line-distance filter is constant across the mesh$"):
         filter_line(mesh, frame)
-    assert np.all(filter_line(mesh, frame, rescale=False) == 1.0)
 
 
 # ----------------------------------------------------------- persistence
@@ -654,12 +655,6 @@ def test_multiplicity0_eps_validation():
     edges = path_edges(3)
     with pytest.raises(ValueError):
         multiplicity0(values, edges, 1, 1)  # diagonal
-    with pytest.raises(ValueError):
-        multiplicity0(values, edges, 0, 1, eps=-0.1)
-    with pytest.raises(ValueError):
-        multiplicity0(values, edges, 0, 1, eps=0.5)  # cannot separate u from v
-    with pytest.raises(ValueError):
-        multiplicity0(values, edges, 0, 1, eps=0.4)  # coarser than value gaps
 
 
 def random_graph(rng, max_vertices=10):

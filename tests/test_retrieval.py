@@ -49,6 +49,14 @@ def diagram_db(diagrams, labels=None):
     return LabeledDatabase(tuple(entries))
 
 
+def truncated(db, transform, count):
+    """``db`` with every ``transform`` vector cut to its first ``count`` coefficients."""
+    return LabeledDatabase(tuple(
+        DatabaseEntry(e.model_id, e.label, e.diagram, {transform: e.vectors[transform].truncate(count)})
+        for e in db.entries
+    ))
+
+
 def random_diagrams(rng, n, max_points=5):
     out = []
     for _ in range(n):
@@ -71,7 +79,8 @@ def test_database_validation():
         DatabaseEntry("a,b", "x", d)
     with pytest.raises(ValueError, match="unknown transform"):
         DatabaseEntry("a", "x", d, {"Q": CoefficientVector((1j,), width=2)})
-    with pytest.raises(ValueError, match="inconsistent"):
+    with pytest.raises(ValueError, match=r"^inconsistent 'R' embeddings, mixed \(width, count\) "
+                                         r"shapes \(2, 1\) vs \(2, 2\)$"):
         LabeledDatabase(
             (
                 DatabaseEntry("a", "x", d, {"R": CoefficientVector((1j,), width=2)}),
@@ -198,11 +207,11 @@ def test_coefficient_matrix_equals_coefficient_distance(case):
             for i, r in enumerate(rows)
         )
     )
-    vecs = [e.vectors["R"] for e in db.entries]
     if count is not None:
-        vecs = [v.truncate(count) for v in vecs]
+        db = truncated(db, "R", count)
+    vecs = [e.vectors["R"] for e in db.entries]
     for kind in COEFFICIENT_METRICS:
-        values = distance_matrix(db, kind, transform="R", count=count).values
+        values = distance_matrix(db, kind, transform="R").values
         for i, a in enumerate(vecs):
             for j, b in enumerate(vecs):
                 want = 0.0 if i == j else coefficient_distance(a, b, kind)
@@ -426,17 +435,13 @@ def test_two_stage_query_single_candidate():
     assert sorted(got) == sorted(e.model_id for e in db.entries if e.model_id != "m00")
 
 
-def sort_based_two_stage(query_id, db, transform, kind, candidates, count):
+def sort_based_two_stage(query_id, db, transform, kind, candidates):
     """The two-stage protocol as two Python sorts: two_stage_query's reference."""
-
-    def vector_of(e):
-        vec = e.vectors[transform]
-        return vec if count is None else vec.truncate(count)
-
     query = db.entry(query_id)
     others = sorted(
         (e for e in db.entries if e.model_id != query_id),
-        key=lambda e: (coefficient_distance(vector_of(query), vector_of(e), kind), e.model_id),
+        key=lambda e: (coefficient_distance(query.vectors[transform], e.vectors[transform], kind),
+                       e.model_id),
     )
     head = sorted(
         others[:candidates],
@@ -463,12 +468,32 @@ def test_two_stage_query_matches_sort_based_protocol():
         )
         k = db.entries[0].vectors[transform].count
         for kind in COEFFICIENT_METRICS:
-            for count in (None, rng.randint(1, k)):
+            for count in (k, rng.randint(1, k)):
+                cut = truncated(db, transform, count)
                 qid = rng.choice(ids)
                 cands = rng.randint(1, n - 1)
-                got = two_stage_query(qid, db, transform, kind, cands, count)
-                want = sort_based_two_stage(qid, db, transform, kind, cands, count)
+                got = two_stage_query(qid, cut, transform, kind, cands)
+                want = sort_based_two_stage(qid, cut, transform, kind, cands)
                 assert got == want, (kind, count, qid, cands)
+
+
+def test_a_smaller_count_is_the_exact_prefix_of_a_larger_one():
+    # Embedding at k' and truncating an embedding at k give the same bits, so
+    # distances and rankings at k' need no count option of their own.
+    db = synthetic_database(5, 6, base_points=8, noise_points=20, seed=4)
+    k = 9
+    for transform in sorted(TRANSFORMS):
+        full = embed_database(db, transform, k)
+        for count in range(1, k + 1):
+            small, cut = embed_database(db, transform, count), truncated(full, transform, count)
+            assert [e.vectors for e in small.entries] == [e.vectors for e in cut.entries]
+            for kind in COEFFICIENT_METRICS:
+                a = distance_matrix(small, kind, transform=transform).values
+                b = distance_matrix(cut, kind, transform=transform).values
+                assert np.array_equal(a.view("i8"), b.view("i8")), (transform, count, kind)
+                for qid in ("c00m00", "c03m04"):
+                    assert (two_stage_query(qid, small, transform, kind, 3)
+                            == two_stage_query(qid, cut, transform, kind, 3)), (transform, count, kind)
 
 
 def test_two_stage_query_errors():
@@ -481,12 +506,6 @@ def test_two_stage_query_errors():
         two_stage_query("m00", db, "R", "d1", candidates=4)
     with pytest.raises(ValueError, match="^unknown metric 'bottleneck'"):
         two_stage_query("m00", db, "R", "bottleneck", candidates=2)
-    k = db.entries[0].vectors["R"].count
-    for count in (0, k + 1):
-        with pytest.raises(ValueError, match=f"^count must be between 1 and {k}, got {count}$"):
-            two_stage_query("m00", db, "R", "d1", candidates=2, count=count)
-        with pytest.raises(ValueError, match=f"^count must be between 1 and {k}, got {count}$"):
-            distance_matrix(db, "d1", transform="R", count=count)
 
 
 @pytest.mark.parametrize("kind", ["d4", "D1", "", "bottleneck"])
@@ -510,7 +529,7 @@ def test_every_entry_point_keeps_one_metric_kind_rule(kind):
 @pytest.mark.parametrize(
     "entry",
     ["embed_roots", "embed_diagram", "embed_diagrams", "CoefficientVector", "truncate",
-     "distance_matrix", "two_stage_query", "parse_index"],
+     "parse_index"],
 )
 def test_every_entry_point_keeps_one_count_rule(entry, count):
     d = PersistenceDiagram.from_pairs([(0, 1), (0.5, 2), (1, 3)])  # width 3
@@ -522,8 +541,6 @@ def test_every_entry_point_keeps_one_count_rule(entry, count):
         "embed_diagrams": lambda: embed_diagrams([d, d], "R", 3, count),
         "CoefficientVector": lambda: CoefficientVector((0.5j,) * count, 3),
         "truncate": lambda: db.entries[0].vectors["R"].truncate(count),
-        "distance_matrix": lambda: distance_matrix(db, "d1", transform="R", count=count),
-        "two_stage_query": lambda: two_stage_query("m00", db, "R", "d1", candidates=1, count=count),
         "parse_index": lambda: parse_index(f"# coefficient-index v1\n{row}\n"),
     }[entry]
     with pytest.raises(ValueError) as exc:
