@@ -170,9 +170,7 @@ def _cmd_synth(args) -> int:
         classes=args.classes,
         per_class=args.per_class,
         base_points=args.base_points,
-        jitter=args.jitter,
         noise_points=args.noise_points,
-        noise_band=args.noise_band,
         seed=args.seed,
     )
     os.makedirs(args.out, exist_ok=True)
@@ -235,9 +233,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--classes", type=int, required=True)
     p.add_argument("--per-class", type=int, required=True)
     p.add_argument("--base-points", type=int, default=6)
-    p.add_argument("--jitter", type=float, default=0.02)
     p.add_argument("--noise-points", type=int, default=3)
-    p.add_argument("--noise-band", type=float, default=0.05)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_synth)

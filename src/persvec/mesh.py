@@ -10,8 +10,8 @@ Persistence itself only needs vertex values and an edge list, so the
 core functions (:func:`zero_persistence`, :func:`beta0`,
 :func:`multiplicity0`) work on any finite graph; triangle meshes pass
 through :func:`triangle_edges` / :func:`mesh_zero_persistence`.
-`beta0` is a deliberately naive two-level component count used as an
-independent check on the union-find sweep.
+`beta0` is a deliberately naive component count, read from the rank's
+definition, used as an independent check on the union-find sweep.
 """
 
 from __future__ import annotations
@@ -371,21 +371,23 @@ def _sublevel_components(f, edges, level) -> dict[int, int]:
     return parent
 
 
+def _rank(f, below_v: dict[int, int], u: float) -> int:
+    """Level-v components (the partition ``below_v``) that hold a vertex of value <= u."""
+    return len({_root(below_v, i) for i in below_v if f[i] <= u})
+
+
 def beta0(values, edges, u: float, v: float) -> int:
     """Number of components at level u that are still separate at level v.
 
-    Brute force by design: build the two sublevel graphs independently
-    and count how many level-v components contain at least one level-u
-    component.  Serves as the ground-truth oracle for
-    :func:`zero_persistence` via :func:`multiplicity0`.
+    Brute force by design: partition the level-v sublevel graph and count
+    the components that hold a vertex of value <= u (each level-u
+    component lies inside one of them, as u <= v).  Serves as the
+    ground-truth oracle for :func:`zero_persistence` via :func:`multiplicity0`.
     """
     if u > v:
         raise ValueError(f"need u <= v, got u={u}, v={v}")
     f, edges = (x.tolist() for x in _check_graph(values, edges))
-    below_u = _sublevel_components(f, edges, u)
-    below_v = _sublevel_components(f, edges, v)
-    reps = {_root(below_u, i) for i in below_u}
-    return len({_root(below_v, r) for r in reps})
+    return _rank(f, _sublevel_components(f, edges, v), u)
 
 
 def multiplicity0(values, edges, u: float, v: float) -> int:
@@ -395,16 +397,14 @@ def multiplicity0(values, edges, u: float, v: float) -> int:
     beta0(u+e, v-e) - beta0(u-e, v-e) - beta0(u+e, v+e) + beta0(u-e, v+e)
     at a probe offset ``e`` small enough that no function value and
     neither of u, v is crossed: a quarter of the smallest positive gap
-    between distinct values, capped at (v-u)/4.
+    between distinct values, capped at (v-u)/4.  The terms share the
+    partitions at v-e and v+e.
     """
-    if not u < v:
-        raise ValueError(f"(u, v) must satisfy u < v, got ({u}, {v})")
-    f = _check_graph(values, edges)[0].tolist()
+    if not (u < v and np.isfinite(v - u)):  # the probe offset needs a finite v - u
+        raise ValueError(f"(u, v) must satisfy u < v and a finite v - u, got ({u}, {v})")
+    f, edges = (x.tolist() for x in _check_graph(values, edges))
     levels = sorted(set(f))
     eps = min([(v - u) / 4.0] + [(b - a) / 4.0 for a, b in zip(levels, levels[1:])])
-    return (
-        beta0(f, edges, u + eps, v - eps)
-        - beta0(f, edges, u - eps, v - eps)
-        - beta0(f, edges, u + eps, v + eps)
-        + beta0(f, edges, u - eps, v + eps)
-    )
+    below, above = (_sublevel_components(f, edges, v + s) for s in (-eps, eps))
+    return (_rank(f, below, u + eps) - _rank(f, below, u - eps)
+            - _rank(f, above, u + eps) + _rank(f, above, u - eps))

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import os
 import random
-import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Mapping
@@ -373,10 +372,19 @@ def two_stage_query(
 
 
 def _atomic_write(path, text: str) -> None:
-    """Write via a temp file in the target directory, rename on success."""
+    """Write via a temp file in the target directory, rename on success.
+
+    The temp file is created with mode 0o666, so the umask sets the mode
+    the written file keeps, as it does for a file ``open`` creates."""
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".part-")
+    while True:
+        tmp = os.path.join(directory, f".part-{os.urandom(8).hex()}")
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            continue
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
@@ -389,15 +397,8 @@ def _atomic_write(path, text: str) -> None:
         raise
 
 
-def serialize_index(db: LabeledDatabase, kind: str | None = None) -> str:
+def serialize_index(db: LabeledDatabase, kind: str) -> str:
     """Index CSV: one row per model — id, kind, width, count, re/im pairs."""
-    if kind is None:
-        kinds = {k for e in db.entries for k in e.vectors}
-        if len(kinds) != 1:
-            raise ValueError(
-                f"database holds {sorted(kinds)} embeddings; specify which to save"
-            )
-        kind = kinds.pop()
     lines = [INDEX_HEADER]
     for e, row in zip(db.entries, _stacked_vectors(db, kind).tolist()):
         fields = [e.model_id, kind, str(e.vectors[kind].width), str(len(row))]
@@ -444,7 +445,7 @@ def parse_index(text: str) -> LabeledDatabase:
     return _parse_rows(_records(text), read, LabeledDatabase)
 
 
-def save_index(db: LabeledDatabase, path, kind: str | None = None) -> None:
+def save_index(db: LabeledDatabase, path, kind: str) -> None:
     _atomic_write(path, serialize_index(db, kind))
 
 
@@ -570,25 +571,23 @@ def synthetic_database(
     classes: int,
     per_class: int,
     base_points: int = 6,
-    jitter: float = 0.02,
     noise_points: int = 3,
-    noise_band: float = 0.05,
     seed: int = 0,
 ) -> LabeledDatabase:
     """Seeded toy database: per-class template diagrams plus perturbation.
 
     Each class gets ``base_points`` template points with births in
     [0, 0.5] and gaps in [0.2, 0.5].  Every member jitters each template
-    point by uniform offsets in [-jitter, jitter] per coordinate (pushed
-    back above the diagonal if needed) and adds ``noise_points`` extra
-    points in a band of height ``noise_band`` over the diagonal.
+    point by uniform offsets in [-0.02, 0.02] per coordinate (pushed back
+    above the diagonal if needed) and adds ``noise_points`` extra points
+    in a band of height 0.05 over the diagonal.
     """
     if classes < 1 or per_class < 1:
         raise ValueError("need at least one class and one member per class")
     if base_points < 1:
         raise ValueError("need at least one template point per class")
-    if jitter < 0 or noise_band < 0 or noise_points < 0:
-        raise ValueError("jitter, noise_points and noise_band must be non-negative")
+    if noise_points < 0:
+        raise ValueError("noise_points must be non-negative")
     rng = random.Random(seed)
     entries = []
     for ci in range(classes):
@@ -599,14 +598,14 @@ def synthetic_database(
         for mi in range(per_class):
             points = []
             for birth, death in template:
-                b = birth + rng.uniform(-jitter, jitter)
-                d = death + rng.uniform(-jitter, jitter)
+                b = birth + rng.uniform(-0.02, 0.02)
+                d = death + rng.uniform(-0.02, 0.02)
                 if d <= b:
                     d = b + 1e-9
                 points.append((b, d))
             for _ in range(noise_points):
                 b = rng.uniform(0.0, 1.0)
-                gap = rng.uniform(0.0, noise_band)
+                gap = rng.uniform(0.0, 0.05)
                 points.append((b, b + (gap if gap > 0 else 1e-9)))
             entries.append(
                 DatabaseEntry(

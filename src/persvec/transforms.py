@@ -105,7 +105,8 @@ class ComplexRootList:
     def __eq__(self, other) -> bool:
         if not isinstance(other, ComplexRootList):
             return NotImplemented
-        return self.roots == other.roots
+        return (np.array_equal(self.values, other.values)
+                and np.array_equal(self.multiplicities, other.multiplicities))
 
 
 def _check_point(u: float, v: float) -> None:

@@ -615,3 +615,25 @@ def test_fractional_face_index_fails_under_default_warning_filters(tmp_path):
     assert proc.stderr.startswith("error:") and len(proc.stderr.strip().splitlines()) == 1, proc.stderr
     assert "1.5" in proc.stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize("umask", [0o027, 0o022], ids=oct)
+def test_written_files_take_their_mode_from_the_umask(tmp_path, umask):
+    """Every file a command writes has mode 0o666 & ~umask, as a file that
+    ``open`` creates would, whatever the temp file it is renamed from."""
+    import persvec
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(persvec.__file__)))
+    code = "import os, sys; os.umask(int(sys.argv[1])); from persvec.cli import main; sys.exit(main(sys.argv[2:]))"
+    db, index, matrix = tmp_path / "db", tmp_path / "index.csv", tmp_path / "d1.csv"
+    for argv in (
+        ["synth", "--classes", "2", "--per-class", "2", "--out", str(db)],
+        ["embed", "--diagrams", str(db), "--transform", "R", "--out", str(index)],
+        ["dist", "--index", str(index), "--metric", "d1", "--out", str(matrix)],
+    ):
+        proc = subprocess.run([sys.executable, "-c", code, str(umask), *argv], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+    written = sorted(db.iterdir()) + [index, matrix]
+    assert len(written) == 7  # four diagrams, the labels, the index and the matrix
+    assert {oct(path.stat().st_mode & 0o777) for path in written} == {oct(0o666 & ~umask)}

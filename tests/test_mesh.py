@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from persvec import mesh as mesh_module
 from persvec.diagram import PersistenceDiagram
 from persvec.mesh import (
     MeshFrame,
@@ -655,6 +656,59 @@ def test_multiplicity0_eps_validation():
     edges = path_edges(3)
     with pytest.raises(ValueError):
         multiplicity0(values, edges, 1, 1)  # diagonal
+    for u, v in [(0, math.inf), (-math.inf, 0), (-1e308, 1e308), (0, math.nan)]:
+        with pytest.raises(ValueError, match="must satisfy u < v and a finite v - u"):
+            multiplicity0(values, edges, u, v)
+
+
+def test_multiplicity0_checks_once_and_builds_two_partitions(monkeypatch):
+    calls = {"_check_graph": 0, "_sublevel_components": 0}
+    for name in calls:
+        real = getattr(mesh_module, name)
+
+        def counted(*args, real=real, name=name):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(mesh_module, name, counted)
+    assert multiplicity0([0, 2, 1, 2, 1, 3, 1, 4], path_edges(8), 1, 2) == 2
+    assert calls == {"_check_graph": 1, "_sublevel_components": 2}
+
+
+def two_level_beta0(values, edges, u, v):
+    """beta0 as two partitions: the level-v components that hold a level-u component."""
+
+    def partition(level):
+        parent = {i: i for i, x in enumerate(values) if x <= level}
+
+        def root(i):
+            while parent[i] != i:
+                i = parent[i]
+            return i
+
+        for a, b in edges:
+            if max(values[a], values[b]) <= level:
+                parent[root(a)] = root(b)
+        return parent, root
+
+    below_u, root_u = partition(u)
+    below_v, root_v = partition(v)
+    return len({root_v(r) for r in {root_u(i) for i in below_u}})
+
+
+def test_beta0_equals_the_two_level_count():
+    rng = random.Random(1919)
+    for _ in range(200):
+        n = rng.randrange(1, 11)
+        values = [rng.randrange(5) / 2 for _ in range(n)]  # five levels: values tie
+        pairs = [rng.sample(range(n), 2) for _ in range(rng.randrange(2 * n))] if n > 1 else []
+        edges = sorted({(min(p), max(p)) for p in pairs})  # isolated vertices and parts come up
+        levels = sorted(set(values))
+        probes = levels + [(a + b) / 2 for a, b in zip(levels, levels[1:])] + [-1.0, 3.0]
+        for u in probes:
+            for v in probes:
+                if u <= v:  # u == v included
+                    assert beta0(values, edges, u, v) == two_level_beta0(values, edges, u, v)
 
 
 def random_graph(rng, max_vertices=10):

@@ -579,7 +579,7 @@ def test_numpy_integer_widths_give_the_int_width_vectors():
             vec = CoefficientVector(want.coefficients, width)
             assert vec == want and type(vec.width) is int
     db = LabeledDatabase((DatabaseEntry("a", "", None, {"R": CoefficientVector((0.5j,), np.int64(2))}),))
-    assert serialize_index(db).splitlines()[1] == "a,R,2,1,0.0,0.5"
+    assert serialize_index(db, "R").splitlines()[1] == "a,R,2,1,0.0,0.5"
 
 
 # ------------------------------------------------------------- index file
@@ -593,7 +593,7 @@ def test_index_roundtrip_empty():
 def test_index_roundtrip_bit_exact():
     rng = random.Random(43)
     db = embed_database(diagram_db(random_diagrams(rng, 10)), "T")
-    loaded = parse_index(serialize_index(db))
+    loaded = parse_index(serialize_index(db, "T"))
     assert loaded.ids == db.ids
     for a, b in zip(db.entries, loaded.entries):
         assert a.vectors["T"] == b.vectors["T"]
@@ -636,8 +636,6 @@ def test_index_parse_errors_name_the_line(rows, lineno, message):
 def test_serialize_index_needs_unique_kind():
     d = PersistenceDiagram.from_pairs([(0, 1)])
     db = embed_database(embed_database(diagram_db([d, d]), "R"), "S")
-    with pytest.raises(ValueError, match="specify"):
-        serialize_index(db)
     assert "S" in serialize_index(db, kind="S").splitlines()[1]
 
 
@@ -718,5 +716,5 @@ def test_synthetic_database_shape_and_determinism():
 def test_synthetic_database_validation():
     with pytest.raises(ValueError):
         synthetic_database(0, 4)
-    with pytest.raises(ValueError):
-        synthetic_database(2, 2, jitter=-0.1)
+    with pytest.raises(ValueError, match="^noise_points must be non-negative$"):
+        synthetic_database(2, 2, noise_points=-1)

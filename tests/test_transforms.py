@@ -142,7 +142,9 @@ def test_transform_point_dispatch():
 def test_root_list_keeps_the_first_signed_zero_it_sees():
     rl = ComplexRootList((ComplexRoot(complex(-0.0, 1.0)), ComplexRoot(complex(0.0, 1.0), 2)))
     assert [math.copysign(1.0, z.real) for z in rl.expand()] == [-1.0] * 3
-    assert rl == ComplexRootList((ComplexRoot(1j, 3),))
+    assert rl == ComplexRootList((ComplexRoot(1j, 3),)) == rl  # -0.0 == 0.0 both ways
+    assert rl != ComplexRootList((ComplexRoot(1j, 2),))
+    assert rl != ComplexRootList((ComplexRoot(1j), ComplexRoot(2j, 2)))
     assert ComplexRootList().width == 0 and ComplexRootList().expand() == []
 
 
