@@ -10,8 +10,11 @@ Persistence itself only needs vertex values and an edge list, so the
 core functions (:func:`zero_persistence`, :func:`beta0`,
 :func:`multiplicity0`) work on any finite graph; triangle meshes pass
 through :func:`triangle_edges` / :func:`mesh_zero_persistence`.
-`beta0` is a deliberately naive component count, read from the rank's
-definition, used as an independent check on the union-find sweep.
+`zero_persistence` contracts each descending basin (the vertices that
+flow down to one local minimum) in numpy and runs the union-find sweep
+only over the lowest edge between two basins.  `beta0` is a deliberately
+naive component count, read from the rank's definition, used as an
+independent check on that sweep.
 """
 
 from __future__ import annotations
@@ -303,27 +306,53 @@ def _check_graph(values, edges) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("need a flat sequence of at least one vertex value")
     if not np.all(np.isfinite(f)):
         raise ValueError("vertex values must be finite")
-    return f, _index_rows(edges, 2, len(f), "edge")
+    # + 0.0 turns -0.0 into 0.0, so which of two equal births survives cannot show in the bytes
+    return f + 0.0, _index_rows(edges, 2, len(f), "edge")
 
 
 def zero_persistence(values, edges) -> PersistenceDiagram:
     """Degree-0 sublevel persistence of vertex values on a graph.
 
     Vertices enter at their own value, an edge at the larger of its
-    endpoint values.  Sweeping edges upward (stable argsort of levels)
-    through a union-find with path halving, each union kills the younger
-    of the two components (larger birth) and records (its birth, edge
-    level) when that pair is off the diagonal.  Neither the order of
-    equal-level edges nor the survivor of equal births changes a pair.
-    Components alive at the end are tallied in ``essential_count``,
-    one per connected component.
+    endpoint values.  Every vertex first follows strictly lower
+    neighbours down to a local minimum; the vertices that reach one
+    minimum form its basin, born at the minimum's value.  A vertex joins
+    its minimum through edges no higher than its own value, so only the
+    lowest edge between two basins can merge anything.  Sweeping those
+    edges upward (stable argsort of levels) through a union-find with
+    path halving, each union kills the younger of the two components
+    (larger birth) and records (its birth, edge level) when that pair is
+    off the diagonal.  Neither the lower neighbour a vertex follows, nor
+    the order of equal-level edges, nor the survivor of equal births
+    changes a pair's bytes (values are read with -0.0 as 0.0).
+    Components alive at the end are tallied in ``essential_count``, one
+    per connected component.
     """
     f, e = _check_graph(values, edges)
-    levels = np.maximum(f[e[:, 0]], f[e[:, 1]])
+    head, tail = e.T
+    levels = np.maximum(f[head], f[tail])
+    down = np.arange(len(f))  # a strictly lower neighbour, or the vertex itself at a local minimum
+    for low, high in ((head, tail), (tail, head)):
+        lower = f[low] < levels  # the edge falls from high to low
+        down[high[lower]] = low[lower]
+    while not np.array_equal(jumped := down[down], down):  # values fall along pointers: this stops
+        down = jumped
+    minima = down == np.arange(len(f))
+    basin = (np.cumsum(minima) - 1)[down]  # numbered in the order of their minima
+    n = int(minima.sum())
+    lo, hi = np.minimum(basin[head], basin[tail]), np.maximum(basin[head], basin[tail])
+    cross = lo != hi
+    keys = lo[cross] * n + hi[cross]
+    # A sort and a neighbour mask as in triangle_edges; a pair merges at its lowest edge.
+    order = np.argsort(keys)
+    keys = keys[order]
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    levels = np.minimum.reduceat(levels[cross][order], np.flatnonzero(first))
     order = np.argsort(levels, kind="stable")
-    heads, tails = e[order].T.tolist()
-    parent = list(range(len(f)))
-    birth = f.tolist()  # a component's birth, kept at its root
+    heads, tails = (x.tolist() for x in np.divmod(keys[first][order], n))
+    parent = list(range(n))
+    birth = f[minima].tolist()  # a component's birth, kept at its root
     births: list[float] = []
     deaths: list[float] = []
     for level, a, b in zip(levels[order].tolist(), heads, tails):

@@ -1,14 +1,15 @@
 import math
 import random
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from persvec import mesh as mesh_module
-from persvec.diagram import PersistenceDiagram
+from persvec.diagram import PersistenceDiagram, serialize_diagram
 from persvec.mesh import (
     MeshFrame,
     TriangleMesh,
@@ -24,6 +25,7 @@ from persvec.mesh import (
     triangle_edges,
     zero_persistence,
 )
+from test_cli import sphere_grid_off
 
 TETRA_OFF = """\
 OFF
@@ -527,6 +529,25 @@ def test_zero_persistence_permutation_invariant():
             pvalues[new] = values[old]
         pedges = [(perm[a], perm[b]) for a, b in edges]
         assert zero_persistence(pvalues, pedges) == base
+        assert serialize_diagram(zero_persistence(pvalues, pedges)) == serialize_diagram(base)
+
+
+def test_zero_persistence_bytes_ignore_signed_zeros():
+    # -0.0 == 0.0, so which of two such births survives a merge depends on
+    # edge and vertex order; the bytes written must not
+    rng = np.random.default_rng(2020)
+    for _ in range(300):
+        n = int(rng.integers(2, 9))
+        values = rng.choice([-0.0, 0.0, 0.5, 1.0], n)
+        edges = rng.integers(0, n, (int(rng.integers(1, 2 * n + 1)), 2))
+        edges = edges[edges[:, 0] != edges[:, 1]]
+        base = serialize_diagram(zero_persistence(values, edges))
+        for _ in range(20):
+            perm = rng.permutation(n)
+            relabeled = np.empty(n)
+            relabeled[perm] = values
+            shuffled = perm[rng.permutation(edges)]
+            assert serialize_diagram(zero_persistence(relabeled, shuffled)) == base
 
 
 def test_zero_persistence_validation():
@@ -812,3 +833,82 @@ def test_triangle_edges_is_sorted_int64_array():
         want = sorted({(min(x, y), max(x, y)) for a, b, c in tris for x, y in ((a, b), (b, c), (a, c))})
         assert edges.dtype == np.int64 and edges.shape == (len(want), 2)
         assert [tuple(e) for e in edges.tolist()] == want
+
+
+def edge_sweep(values, edges):
+    """Reference for zero_persistence: the elder-rule union-find run over
+    every edge of the graph, not just the lowest edge between two basins."""
+    f, e = mesh_module._check_graph(values, edges)
+    levels = np.maximum(f[e[:, 0]], f[e[:, 1]])
+    order = np.argsort(levels, kind="stable")
+    heads, tails = e[order].T.tolist()
+    parent = list(range(len(f)))
+    birth = f.tolist()
+    births, deaths = [], []
+    for level, a, b in zip(levels[order].tolist(), heads, tails):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        while parent[b] != b:
+            parent[b] = parent[parent[b]]
+            b = parent[b]
+        if a == b:
+            continue
+        if birth[b] < birth[a]:
+            a, b = b, a
+        if birth[b] < level:
+            births.append(birth[b])
+            deaths.append(level)
+        parent[b] = a
+    roots = sum(i == p for i, p in enumerate(parent))
+    return PersistenceDiagram(births, deaths, essential_count=roots)
+
+
+@settings(derandomize=True, database=None, max_examples=500, deadline=None)
+@given(tied_graphs())
+@example(([0.5], []))
+@example(([1.0, 1.0, 1.0], [(0, 1), (1, 0), (0, 1), (1, 2)]))
+def test_zero_persistence_matches_edge_sweep_bytes(graph):
+    values, edges = graph
+    assert serialize_diagram(zero_persistence(values, edges)) == serialize_diagram(edge_sweep(values, edges))
+
+
+@pytest.mark.parametrize("seed, n_lat, n_lon", [(1, 40, 40), (2, 48, 40), (3, 40, 56)])
+def test_mesh_zero_persistence_matches_edge_sweep_on_sphere_grids(seed, n_lat, n_lon):
+    mesh = parse_off(sphere_grid_off(np.random.default_rng(seed), n_lat, n_lon))
+    centered = normalize_mesh(mesh, center_of_mass(mesh))
+    frame = MeshFrame(np.zeros(3), axis_vector(centered, np.zeros(3))[0])
+    for filt in (filter_line, filter_plane):
+        values = filt(centered, frame)
+        diag = mesh_zero_persistence(centered, values)
+        assert len(diag) > 10  # the noise leaves many basins to merge
+        assert serialize_diagram(diag) == serialize_diagram(edge_sweep(values, triangle_edges(centered)))
+
+
+@pytest.mark.parametrize("kind", ["ramp", "alternating", "random"])
+def test_zero_persistence_matches_edge_sweep_on_long_paths(kind):
+    # a ramp is one basin reached by the most pointer-jumping rounds; alternating
+    # values make every other vertex a basin, so contraction saves no merge
+    n = 2**17
+    values = {"ramp": np.arange(n, dtype=float)[::-1], "alternating": np.arange(n) % 2 * 1.0,
+              "random": np.random.default_rng(17).random(n)}[kind]
+    edges = np.column_stack([np.arange(n - 1), np.arange(1, n)])
+    assert serialize_diagram(zero_persistence(values, edges)) == serialize_diagram(edge_sweep(values, edges))
+
+
+def test_zero_persistence_memory_peak_per_edge():
+    # a 200 x 200 grid wrapped in longitude, as the sphere meshes are: 119,600 edges
+    i, j = np.meshgrid(np.arange(199), np.arange(200), indexing="ij")
+    v00, v01 = i * 200 + j, i * 200 + (j + 1) % 200
+    tris = np.concatenate([np.stack([v00, v00 + 200, v01 + 200], axis=-1).reshape(-1, 3),
+                           np.stack([v00, v01 + 200, v01], axis=-1).reshape(-1, 3)])
+    edges = triangle_edges(TriangleMesh(np.zeros((200 * 200, 3)), tris))
+    values = np.random.default_rng(200).random(200 * 200)
+    assert len(edges) == 119_600
+    tracemalloc.start()
+    try:
+        zero_persistence(values, edges)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * len(edges)
