@@ -209,8 +209,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=1,
-        help="worker processes for bottleneck pairs, at most the CPU count; "
-        "d1/d2/d3 run in one vectorised pass and ignore it",
+        help="worker processes for bottleneck rows, at most the CPU count; "
+        "d1/d2/d3 ignore it",
     )
     p.add_argument("--out", required=True, help="output matrix CSV")
     p.set_defaults(func=_cmd_dist)

@@ -183,20 +183,18 @@ def bottleneck_distance(a: PersistenceDiagram, b: PersistenceDiagram) -> float:
     the cross block.  The search starts at a lower bound: every row and
     every column must be matched, so the answer is at least L, the
     largest row or column minimum.  A point's minimum is the smaller of
-    its cheapest cross cost and its half-gap, a stand-in's is 0, and L
-    is itself a cost.  From L the search gallops upward through the
-    sorted costs (steps of 1, 2, 4, ...) until a probe is feasible, then
-    bisects the last bracket.  Skipping the costs below L drops only
-    infeasible thresholds, so the result is the one a bisection over all
-    costs finds, in a few probes when the answer lies near L.
+    its cheapest cross cost (none if the other diagram is empty) and its
+    half-gap, a stand-in's is 0, and L is itself a cost.  From L the
+    search gallops upward through the sorted costs (steps of 1, 2, 4,
+    ...) until a probe is feasible, then bisects the last bracket.
+    Skipping the costs below L drops only infeasible thresholds, so the
+    result is the one a bisection over all costs finds, in a few probes
+    when the answer lies near L.
     """
     cross, half_a, half_b = _cross_costs(a, b)
-    if not cross.size:
-        # every point goes to the diagonal
-        return float(np.concatenate((half_a, half_b)).max(initial=0.0))
     bound = max(
-        np.minimum(cross.min(axis=1), half_a).max(),
-        np.minimum(cross.min(axis=0), half_b).max(),
+        np.minimum(cross.min(axis=1, initial=np.inf), half_a).max(initial=0.0),
+        np.minimum(cross.min(axis=0, initial=np.inf), half_b).max(initial=0.0),
     )
     costs = np.concatenate((cross.ravel(), half_a, half_b, [0.0]))
     candidates = np.unique(costs[costs >= bound])

@@ -2,8 +2,8 @@
 
 A database is a list of labeled models, each carrying its persistence
 diagram and any coefficient vectors computed for it.  This module fills
-all-pairs distance matrices (coefficient metrics in one vectorised
-pass, the bottleneck optionally in parallel), scores rankings with an
+all-pairs distance matrices row by row (coefficient rows in numpy,
+bottleneck rows optionally in parallel), scores rankings with an
 interpolated precision/recall protocol, runs the two-stage
 prefilter-then-rerank query, and persists coefficient indexes to CSV.
 
@@ -193,25 +193,36 @@ def database_labels(db: LabeledDatabase) -> dict[str, str]:
 # ---------------------------------------------------------- distance matrix
 
 
-def _bottleneck_cells(diagrams, pairs):
-    return [(i, j, bottleneck_distance(diagrams[i], diagrams[j])) for i, j in pairs]
+def _mirrored(n: int, rows) -> np.ndarray:
+    """The symmetric n x n matrix, zero on the diagonal, whose upper
+    triangle's row i (columns i+1..n-1) is the i-th of ``rows``."""
+    values = np.zeros((n, n), dtype=float)
+    for i, row in enumerate(rows):
+        values[i, i + 1 :] = row
+        values[i + 1 :, i] = row
+    return values
+
+
+def _bottleneck_row(query: PersistenceDiagram, diagrams) -> np.ndarray:
+    """Bottleneck distances from ``query`` to each of ``diagrams``: the one
+    place the matrix and the query re-rank reach the exact distance."""
+    return np.array([bottleneck_distance(query, d) for d in diagrams], dtype=float)
+
+
+def _upper_rows(diagrams: list[PersistenceDiagram], rows: range) -> list[np.ndarray]:
+    """For each i in ``rows``, diagram i against diagrams i+1..N-1."""
+    return [_bottleneck_row(diagrams[i], diagrams[i + 1 :]) for i in rows]
 
 
 def _bottleneck_matrix(diagrams: list[PersistenceDiagram], threads: int) -> np.ndarray:
     n = len(diagrams)
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    workers = min(threads, os.cpu_count() or 1)
-    if workers == 1 or len(pairs) < 2:
-        cells = _bottleneck_cells(diagrams, pairs)
-    else:
-        chunks = [pairs[c::workers] for c in range(workers) if pairs[c::workers]]
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            futures = [pool.submit(_bottleneck_cells, diagrams, chunk) for chunk in chunks]
-            cells = [cell for fut in futures for cell in fut.result()]
-    values = np.zeros((n, n), dtype=float)
-    for i, j, d in cells:
-        values[i, j] = values[j, i] = d
-    return values
+    workers = min(threads, os.cpu_count() or 1, n - 1)
+    if workers <= 1:
+        return _mirrored(n, _upper_rows(diagrams, range(n - 1)))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(_upper_rows, diagrams, range(c, n - 1, workers)) for c in range(workers)]
+        strides = [fut.result() for fut in futures]
+    return _mirrored(n, (strides[i % workers][i // workers] for i in range(n - 1)))
 
 
 def _stacked_vectors(db: LabeledDatabase, transform: str) -> np.ndarray:
@@ -225,21 +236,6 @@ def _stacked_vectors(db: LabeledDatabase, transform: str) -> np.ndarray:
     return np.array(rows, dtype=complex)
 
 
-def _coefficient_matrix(coeffs: np.ndarray, kind: str) -> np.ndarray:
-    """All-pairs ``kind`` distances between the rows of an (N, k) complex array.
-
-    One row of the upper triangle is built at a time, so memory stays
-    O(N * k) beyond the result.
-    """
-    n = len(coeffs)
-    values = np.zeros((n, n), dtype=float)
-    for i in range(n - 1):
-        row = _coefficient_rows(coeffs[i], coeffs[i + 1 :], kind)
-        values[i, i + 1 :] = row
-        values[i + 1 :, i] = row
-    return values
-
-
 def distance_matrix(
     db: LabeledDatabase,
     metric: str,
@@ -250,12 +246,13 @@ def distance_matrix(
 
     ``metric`` is one of d1/d2/d3 (requires ``transform`` and embedded
     vectors, compared at their embedded count) or "bottleneck" (works
-    on the diagrams directly; ``transform`` must be omitted).  The
-    coefficient metrics are computed in one vectorised pass over the
-    stacked vectors, and ``threads`` has no effect on them.  For the
-    bottleneck, ``threads`` > 1 splits the pairs across at most
-    ``threads`` worker processes, never more than the machine's CPU
-    count; cells are keyed by index, so the result is
+    on the diagrams directly; ``transform`` must be omitted).  Both are
+    built row by row: row i holds model i against models i+1..N-1 and
+    is mirrored into the matrix.  A coefficient row is one numpy pass
+    over the stacked vectors, and ``threads`` has no effect on it.  For
+    the bottleneck, ``threads`` > 1 deals the rows out in strides to at
+    most ``threads`` worker processes, never more than the machine's
+    CPU count or N-1; each row keeps its index, so the result is
     schedule-independent.
     """
     if threads < 1:
@@ -270,7 +267,9 @@ def distance_matrix(
         _check_metric(metric)
         if transform is None:
             raise ValueError(f"metric {metric!r} needs a transform kind")
-        values = _coefficient_matrix(_stacked_vectors(db, transform), metric)
+        coeffs = _stacked_vectors(db, transform)
+        rows = (_coefficient_rows(coeffs[i], coeffs[i + 1 :], metric) for i in range(len(db) - 1))
+        values = _mirrored(len(db), rows)
     return DistanceMatrix(tuple(e.model_id for e in db.entries), values)
 
 
@@ -363,8 +362,7 @@ def two_stage_query(
     ranked = others[_ranked(prefilter, id_rank[others])]
     head, tail = ranked[:candidates], ranked[candidates:]
     query, *rivals = _diagrams([db.entries[i] for i in (qi, *head)], "for re-ranking")
-    exact = np.array([bottleneck_distance(query, d) for d in rivals])
-    head = head[_ranked(exact, id_rank[head])]
+    head = head[_ranked(_bottleneck_row(query, rivals), id_rank[head])]
     return [ids[i] for i in np.concatenate((head, tail))]
 
 
@@ -388,7 +386,10 @@ def _atomic_write(path, text: str) -> None:
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:  # name the destination, not the temp file removed below
+            raise OSError(exc.errno, exc.strerror, path) from None
     except BaseException:
         try:
             os.unlink(tmp)

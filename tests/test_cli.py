@@ -4,6 +4,7 @@ Everything goes through ``main(argv)`` with real files in tmp_path, the
 same way a shell user would drive it.
 """
 
+import errno
 import hashlib
 import os
 import random
@@ -291,6 +292,19 @@ def test_bad_mesh_leaves_no_output(tmp_path, capsys):
     assert err.startswith("error:")
     assert not out.exists()
     assert list(tmp_path.iterdir()) == [mesh]  # no temp leftovers either
+
+
+def test_failed_rename_names_the_destination_and_leaves_no_temp_file(tmp_path, capsys):
+    d = tmp_path / "db"
+    assert run("synth", "--classes", "2", "--per-class", "2", "--out", str(d)) == 0
+    target = tmp_path / "target"
+    target.mkdir()  # the rename onto a directory fails after the temp file is written
+    capsys.readouterr()
+    assert run("embed", "--diagrams", str(d), "--transform", "R", "--out", str(target)) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: {str(target)!r}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["db", "target"]
+    assert list(target.iterdir()) == []
 
 
 def test_pr_rejects_singleton_class_without_partial_file(tmp_path):

@@ -12,6 +12,16 @@ from scipy.optimize import linear_sum_assignment
 from persvec import metrics
 from persvec.coefficients import CoefficientVector
 from persvec.diagram import PersistenceDiagram
+from persvec.mesh import (
+    FILTERS,
+    MeshFrame,
+    axis_vector,
+    center_of_mass,
+    mesh_zero_persistence,
+    normalize_mesh,
+    parse_off,
+    zero_persistence,
+)
 from persvec.metrics import (
     COEFFICIENT_METRICS,
     _coefficient_rows,
@@ -21,6 +31,7 @@ from persvec.metrics import (
     coefficient_distance,
     point_distance,
 )
+from test_cli import sphere_grid_off
 
 
 def random_diagram(rng, max_points=4, max_mult=2):
@@ -336,6 +347,59 @@ def test_bottleneck_equals_plain_bisection_on_reduced_graph(monkeypatch):
     # the matcher ran on sides of 1-16 big points and of more than 16
     assert any(0 < size <= 16 for size in sides)
     assert max(sides) > 16
+
+
+def sphere_grid_diagram(seed, n_lat, n_lon, filter_name):
+    """The diagram ``persvec diagram`` computes for a seeded noisy sphere grid."""
+    mesh = parse_off(sphere_grid_off(np.random.default_rng(seed), n_lat, n_lon))
+    centered = normalize_mesh(mesh, center_of_mass(mesh))
+    frame = MeshFrame(np.zeros(3), axis_vector(centered, np.zeros(3))[0])
+    return mesh_zero_persistence(centered, FILTERS[filter_name](centered, frame))
+
+
+@pytest.mark.parametrize("n_lat, n_lon, filter_name",
+                         [(60, 80, "line"), (60, 80, "plane"), (120, 160, "line")])
+def test_bottleneck_equals_plain_bisection_on_mesh_diagrams(n_lat, n_lon, filter_name):
+    # Mesh-size diagrams (about 200-300 points on 60 x 80 grids, 1,400-1,600
+    # on 120 x 160), far past the sizes the other exactness checks reach;
+    # the size check keeps them that large.
+    a, b = (sphere_grid_diagram(seed, n_lat, n_lon, filter_name) for seed in (1, 2))
+    assert min(a.total_multiplicity(), b.total_multiplicity()) > n_lat * n_lon // 25
+    candidates, answer = plain_bisection(_cost_matrix(a, b))
+    assert bottleneck_distance(a, b) == candidates[answer]
+
+
+@st.composite
+def perturbed_graphs(draw):
+    """Vertex values f and g on one random graph of 1-120 vertices.
+
+    f takes at most six levels, so values tie.  g moves each vertex of f
+    by at most a scale of 1e-3 to 0.3; in half the cases it leaves about
+    half of them where they are, so g keeps ties too.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 120))
+    f = rng.integers(0, draw(st.integers(1, 6)), n) / 4
+    edges = rng.integers(0, n, size=(draw(st.integers(n, 3 * n)), 2))
+    edges = edges[edges[:, 0] != edges[:, 1]]
+    scale = draw(st.floats(1e-3, 0.3))
+    moved = rng.random(n) < draw(st.sampled_from([1.0, 0.5]))
+    g = f + np.where(moved, rng.uniform(-scale, scale, n), 0.0)
+    return f, g, edges
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(perturbed_graphs())
+def test_bottleneck_stability_under_perturbed_values(graph):
+    # Stability of persistence diagrams (Cohen-Steiner, Edelsbrunner and
+    # Harer 2007): the diagrams of f and g on one graph lie within
+    # max|f - g| of each other.  Some examples meet the bound exactly, so a
+    # fault that moves a point or overestimates a distance in either
+    # zero_persistence or bottleneck_distance breaks it.  Both sides have
+    # the same number of essential classes, which the distance ignores.
+    f, g, edges = graph
+    distance = bottleneck_distance(zero_persistence(f, edges), zero_persistence(g, edges))
+    assert distance <= np.abs(f - g).max()
 
 
 def test_row_cover_agrees_with_hopcroft_karp():

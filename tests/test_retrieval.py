@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from collections import Counter
 from concurrent.futures import Future
 
@@ -259,6 +260,28 @@ def test_distance_matrix_caps_workers_at_cpu_count(monkeypatch):
     monkeypatch.setattr(retrieval.os, "cpu_count", lambda: None)
     assert np.array_equal(distance_matrix(db, "bottleneck", threads=10**6).values, seq.values)
     assert requested == [2]
+
+
+def test_bottleneck_matrix_memory_peak_per_cell(monkeypatch):
+    # The matrix is 16 bytes per upper-triangle cell and its rows 8 more.  A
+    # list of pairs or of (i, j, d) cells costs far more per cell.  The distance
+    # itself allocates only while it runs, and 79,800 pairs of it under
+    # tracemalloc take about 20 s on a 2-CPU x86-64 host, so a stand-in gives
+    # each pair its value.
+    rng = random.Random(400)
+    births = [rng.uniform(0, 1) for _ in range(400)]
+    db = diagram_db([PersistenceDiagram.from_pairs([(b, b + 0.5)]) for b in births])
+    monkeypatch.setattr(retrieval, "bottleneck_distance",
+                        lambda a, b: abs(float(a.births[0]) - float(b.births[0])))
+    cells = 400 * 399 // 2
+    tracemalloc.start()
+    try:
+        values = distance_matrix(db, "bottleneck").values
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert values[3, 7] == values[7, 3] == abs(births[3] - births[7])
+    assert peak < 64 * cells, peak / cells
 
 
 def test_distance_matrix_errors():
