@@ -152,23 +152,20 @@ def _feasible(cross: np.ndarray, half_a: np.ndarray, half_b: np.ndarray, t: floa
 
     A point whose half-gap is at most t (small) can always go to a
     stand-in, and leftover stand-ins pair off at cost 0, so only the big
-    points need a partner in the cross graph ``cross <= t``.  A matching
-    that covers every big point of ``a`` and one that covers every big
-    point of ``b`` give one matching that covers both
-    (Mendelsohn-Dulmage), so each side is tested on its own, the second
-    only when the first matching misses a big point of ``b``.
+    points need a partner in the cross graph ``cross <= t``.  Probes run
+    at t >= L (see :func:`bottleneck_distance`), and L is at least each
+    point's smaller of its cheapest cross cost and its half-gap, so every
+    big point has an edge and only a matching can fail.  A matching that
+    covers every big point of ``a`` and one that covers every big point
+    of ``b`` give one matching that covers both (Mendelsohn-Dulmage), so
+    each side is tested on its own, the second only when the first
+    misses a big point of ``b``.
     """
     adj = cross <= t
     big_b = half_b > t
-    rows, cols = adj[half_a > t], adj[:, big_b]
-    if not (rows.any(axis=1).all() and cols.any(axis=0).all()):
-        return False
-    used = _row_cover(rows)
-    if used is None:
-        return False
-    covered = np.zeros(len(big_b), dtype=bool)
-    covered[used] = True
-    return bool(covered[big_b].all()) or _row_cover(cols.T) is not None
+    used = _row_cover(adj[half_a > t])  # distinct columns, so a count shows all of big_b
+    return used is not None and (np.count_nonzero(big_b[used]) == np.count_nonzero(big_b)
+                                 or _row_cover(adj[:, big_b].T) is not None)
 
 
 def bottleneck_distance(a: PersistenceDiagram, b: PersistenceDiagram) -> float:

@@ -383,6 +383,8 @@ def _atomic_write(path, text: str) -> None:
             break
         except FileExistsError:
             continue
+        except OSError as exc:  # name the destination, not a temp file never made
+            raise OSError(exc.errno, exc.strerror, path) from None
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)

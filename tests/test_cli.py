@@ -238,22 +238,38 @@ def test_failures_exit_one_with_single_line(tmp_path, capsys):
     huge.mkdir()
     (huge / "a.csv").write_text(f"0,1,{2**45}\n")
     (huge / "b.csv").write_text("0,2\n")
+    # an index of two models, and a diagram directory that holds only one
+    work = tmp_path / "work"
+    index, part = work / "index.csv", work / "part"
+    assert run("synth", "--classes", "1", "--per-class", "2", "--out", str(work / "db")) == 0
+    assert run("embed", "--diagrams", str(work / "db"), "--transform", "R", "--out", str(index)) == 0
+    part.mkdir()
+    (part / "c00m00.csv").write_text((work / "db" / "c00m00.csv").read_text())
     cases = [
-        ("embed", "--diagrams", str(huge), "--transform", "R", "--out", str(out)),
-        ("dist", "--diagrams", str(huge), "--metric", "bottleneck", "--out", str(out)),
-        ("dist", "--index", str(tmp_path / "missing.csv"), "--metric", "d1", "--out", str(out)),
-        ("diagram", "--mesh", str(tmp_path / "no.off"), "--filter", "line", "--out", str(out)),
-        ("embed", "--diagrams", str(tmp_path), "--transform", "R", "--out", str(out)),  # empty dir
-        ("embed", "--diagrams", str(tmp_path), "--transform", "Q", "--out", str(out)),
-        ("frobnicate",),
-        ("diagram", "--mesh", "x", "--filter", "square", "--out", str(out)),
-        (),
+        (("embed", "--diagrams", str(huge), "--transform", "R", "--out", str(out)), ""),
+        (("dist", "--diagrams", str(huge), "--metric", "bottleneck", "--out", str(out)), ""),
+        (("dist", "--index", str(tmp_path / "missing.csv"), "--metric", "d1", "--out", str(out)),
+         f"[Errno {errno.ENOENT}]"),
+        (("diagram", "--mesh", str(tmp_path / "no.off"), "--filter", "line", "--out", str(out)),
+         f"[Errno {errno.ENOENT}]"),
+        (("embed", "--diagrams", str(tmp_path), "--transform", "R", "--out", str(out)),  # empty dir
+         "no diagram CSV files"),
+        (("embed", "--diagrams", str(tmp_path / "nodir"), "--transform", "R", "--out", str(out)),
+         "not a directory"),
+        (("query", "--index", str(index), "--diagrams", str(part), "--id", "c00m00",
+          "--candidates", "1"),
+         "no diagram file for indexed model 'c00m01'"),
+        (("embed", "--diagrams", str(tmp_path), "--transform", "Q", "--out", str(out)),
+         "argument --transform"),
+        (("frobnicate",), "argument command"),
+        (("diagram", "--mesh", "x", "--filter", "square", "--out", str(out)), "argument --filter"),
+        ((), "the following arguments are required"),
     ]
-    for argv in cases:
+    for argv, message in cases:
         capsys.readouterr()
         assert run(*argv) == 1, argv
         err = capsys.readouterr().err
-        assert err.startswith("error:"), argv
+        assert err.startswith(f"error: {message}"), argv
         assert len(err.strip().splitlines()) == 1, argv
     assert not out.exists()
 
@@ -305,6 +321,36 @@ def test_failed_rename_names_the_destination_and_leaves_no_temp_file(tmp_path, c
     assert err == f"error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: {str(target)!r}\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["db", "target"]
     assert list(target.iterdir()) == []
+
+
+def test_uncreatable_temp_file_names_the_destination(tmp_path, capsys, monkeypatch):
+    d = tmp_path / "db"
+    assert run("synth", "--classes", "2", "--per-class", "2", "--out", str(d)) == 0
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    assert run("embed", "--diagrams", "db", "--transform", "R", "--out", "nodir/x.csv") == 1
+    err = capsys.readouterr().err
+    assert err == f"error: [Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: 'nodir/x.csv'\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["db"]
+
+
+def test_taken_temp_name_is_drawn_again(tmp_path, monkeypatch):
+    d = tmp_path / "db"
+    assert run("synth", "--classes", "2", "--per-class", "2", "--out", str(d)) == 0
+    taken = tmp_path / f".part-{bytes(8).hex()}"  # another writer's temp file
+    taken.write_text("theirs")
+    draws, urandom = [], os.urandom
+
+    def repeat_once(n):  # the taken name first, then fresh ones
+        draws.append(n)
+        return bytes(n) if len(draws) == 1 else urandom(n)
+
+    monkeypatch.setattr(os, "urandom", repeat_once)
+    index = tmp_path / "index.csv"
+    assert run("embed", "--diagrams", str(d), "--transform", "R", "--out", str(index)) == 0
+    assert len(draws) == 2 and len(load_index(index).entries) == 4
+    assert taken.read_text() == "theirs"
+    assert sorted(p.name for p in tmp_path.glob(".part-*")) == [taken.name]
 
 
 def test_pr_rejects_singleton_class_without_partial_file(tmp_path):

@@ -110,6 +110,8 @@ def test_padding_never_changes_values():
 def test_counts_beyond_support_are_zero():
     assert elementary_symmetric([2 + 0j], 3) == (2 + 0j, 0j, 0j)
     assert elementary_symmetric([], 2) == (0j, 0j)
+    with pytest.raises(ValueError, match="^count must be non-negative, got -1$"):
+        elementary_symmetric([2 + 0j], -1)
 
 
 def test_embed_roots_validates_width_and_count():

@@ -36,6 +36,9 @@ def test_point_validation():
         PersistencePoint(0.0, 1.0, 0)
     with pytest.raises(ValueError):
         PersistencePoint(0.0, 1.0, -3)
+    for columns in (([0.0, 1.0], [2.0]), ([0.0], [1.0], [1, 1]), ([[0.0]], [[1.0]])):
+        with pytest.raises(ValueError, match="^births, deaths and multiplicities must be 1-D and of equal"):
+            PersistenceDiagram(*columns)
 
 
 def test_coincident_points_merge():

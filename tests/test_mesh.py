@@ -86,6 +86,10 @@ def test_frame_validation():
     MeshFrame(np.zeros(3), np.array([0, 0, 1.0]))
     with pytest.raises(ValueError, match="unit"):
         MeshFrame(np.zeros(3), np.array([0, 0, 2.0]))
+    for center, axis in ((np.array([np.nan, 0, 0]), np.array([0, 0, 1.0])),
+                         (np.zeros(3), np.array([0, 0, np.inf]))):
+        with pytest.raises(ValueError, match="^frame entries must be finite$"):
+            MeshFrame(center, axis)
 
 
 # ------------------------------------------------------------------- OFF
@@ -337,6 +341,12 @@ def test_parse_off_errors():
         parse_off("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 5\n")
     with pytest.raises(ValueError):
         parse_off("")
+    with pytest.raises(ValueError, match="^truncated OFF file: missing counts line$"):
+        parse_off("OFF\n# only a comment\n")
+    with pytest.raises(ValueError, match="^bad counts: 0 vertices, 0 faces$"):
+        parse_off("OFF\n0 0 0\n")
+    with pytest.raises(ValueError, match="^bad counts: 2 vertices, -1 faces$"):
+        parse_off("OFF\n2 -1 0\n0 0 0\n1 1 1\n")
 
 
 # ----------------------------------------------------------------- frame

@@ -327,14 +327,21 @@ def reduced_graph_pairs(draw):
 def test_bottleneck_equals_plain_bisection_on_reduced_graph(monkeypatch):
     # bottleneck_distance never builds the stand-in matrix; the reference
     # bisects over every cost of it with an independent assignment solver.
-    sides = []
-    row_cover = metrics._row_cover
+    sides, probes = [], []  # probes: per probe, whether each row cover it ran succeeded
+    row_cover, feasible = metrics._row_cover, metrics._feasible
 
     def spy(adj):
         sides.append(len(adj))
-        return row_cover(adj)
+        used = row_cover(adj)
+        probes[-1].append(used is not None)
+        return used
+
+    def probe(*args):
+        probes.append([])
+        return feasible(*args)
 
     monkeypatch.setattr(metrics, "_row_cover", spy)
+    monkeypatch.setattr(metrics, "_feasible", probe)
 
     @settings(derandomize=True, database=None, max_examples=300, deadline=None)
     @given(reduced_graph_pairs())
@@ -347,6 +354,9 @@ def test_bottleneck_equals_plain_bisection_on_reduced_graph(monkeypatch):
     # the matcher ran on sides of 1-16 big points and of more than 16
     assert any(0 < size <= 16 for size in sides)
     assert max(sides) > 16
+    # every outcome of a probe: the first cover fails; it covers every big
+    # point of b; it does not, and the second cover succeeds; or it fails
+    assert {tuple(p) for p in probes} == {(False,), (True,), (True, True), (True, False)}
 
 
 def sphere_grid_diagram(seed, n_lat, n_lon, filter_name):

@@ -106,6 +106,8 @@ def test_distance_matrix_validation():
         DistanceMatrix(("a", "b"), np.array([[0, -1], [-1, 0.0]]))
     with pytest.raises(ValueError, match="duplicate"):
         DistanceMatrix(("a", "a"), np.zeros((2, 2)))
+    with pytest.raises(ValueError, match=r"^expected a 2x2 matrix, got shape \(2, 3\)$"):
+        DistanceMatrix(("a", "b"), np.zeros((2, 3)))
 
 
 def test_pr_table_validation():
@@ -296,6 +298,8 @@ def test_distance_matrix_errors():
         distance_matrix(db, "euclid")
     with pytest.raises(ValueError, match="threads"):
         distance_matrix(db, "bottleneck", threads=0)
+    with pytest.raises(ValueError, match="^cannot build a distance matrix for an empty database$"):
+        distance_matrix(LabeledDatabase(), "bottleneck")
 
 
 # -------------------------------------------------------------------- PR
@@ -648,6 +652,7 @@ def test_index_parse_errors():
         (["a,R,3,1,inf,0.5"], 2, "coefficient 1 is not finite"),
         ([",R,3,1,1.0,0.5"], 2, "model id must not be empty"),
         (["a,R,3,1,1.0,0.5", "a,R,3,1,2.0,0.5"], 3, "duplicate model id 'a'"),
+        (["a,R,3,1,1.0,0.5", "b,S,3,1,1.0,0.5"], 3, "mixed index kinds ['R', 'S']"),
     ],
 )
 def test_index_parse_errors_name_the_line(rows, lineno, message):
@@ -739,5 +744,7 @@ def test_synthetic_database_shape_and_determinism():
 def test_synthetic_database_validation():
     with pytest.raises(ValueError):
         synthetic_database(0, 4)
+    with pytest.raises(ValueError, match="^need at least one template point per class$"):
+        synthetic_database(2, 2, base_points=0)
     with pytest.raises(ValueError, match="^noise_points must be non-negative$"):
         synthetic_database(2, 2, noise_points=-1)
