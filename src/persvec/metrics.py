@@ -15,6 +15,7 @@ that never die are not represented and are ignored here.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -129,6 +130,16 @@ def _cost_matrix(a: PersistenceDiagram, b: PersistenceDiagram) -> np.ndarray:
     return cost
 
 
+@functools.cache
+def _assignment_solver():
+    """scipy's ``linear_sum_assignment``, imported on first use: scipy.optimize
+    adds about 0.15 s and 8 MB to start-up, which commands that compute no
+    bottleneck need not pay."""
+    from scipy.optimize import linear_sum_assignment
+
+    return linear_sum_assignment
+
+
 def _row_cover(adj: np.ndarray):
     """The columns used by a matching that covers every row of the
     bipartite graph ``adj`` (rows x columns, boolean), or None if no
@@ -139,11 +150,7 @@ def _row_cover(adj: np.ndarray):
     exists exactly when every row is assigned and every assigned cell is
     an edge.
     """
-    # Imported on first use: scipy.optimize adds about 0.15 s and 8 MB to
-    # start-up, which commands that compute no bottleneck need not pay.
-    from scipy.optimize import linear_sum_assignment
-
-    rows, cols = linear_sum_assignment(~adj)
+    rows, cols = _assignment_solver()(~adj)
     return cols if len(rows) == len(adj) and adj[rows, cols].all() else None
 
 
@@ -181,20 +188,24 @@ def bottleneck_distance(a: PersistenceDiagram, b: PersistenceDiagram) -> float:
     every column must be matched, so the answer is at least L, the
     largest row or column minimum.  A point's minimum is the smaller of
     its cheapest cross cost (none if the other diagram is empty) and its
-    half-gap, a stand-in's is 0, and L is itself a cost.  From L the
-    search gallops upward through the sorted costs (steps of 1, 2, 4,
-    ...) until a probe is feasible, then bisects the last bracket.
-    Skipping the costs below L drops only infeasible thresholds, so the
-    result is the one a bisection over all costs finds, in a few probes
-    when the answer lies near L.
+    half-gap, a stand-in's is 0, and L is itself a cost.  L is probed
+    first and is the answer if feasible, as it is whenever it is the
+    largest cost (no point is big).  Only when that probe fails are the
+    costs above L sorted; the search gallops upward through them (steps
+    of 1, 2, 4, ...) until a probe is feasible, then bisects the last
+    bracket.  Skipping the costs below L drops only infeasible
+    thresholds, so the result is the one a bisection over all costs
+    finds, in a few probes when the answer lies near L.
     """
     cross, half_a, half_b = _cross_costs(a, b)
     bound = max(
         np.minimum(cross.min(axis=1, initial=np.inf), half_a).max(initial=0.0),
         np.minimum(cross.min(axis=0, initial=np.inf), half_b).max(initial=0.0),
     )
-    costs = np.concatenate((cross.ravel(), half_a, half_b, [0.0]))
-    candidates = np.unique(costs[costs >= bound])
+    if _feasible(cross, half_a, half_b, bound):
+        return float(bound)
+    costs = np.concatenate((cross.ravel(), half_a, half_b))
+    candidates = np.unique(costs[costs > bound])
     # Every candidate below lo is infeasible; candidates[hi] is feasible
     # once probed, and the largest cost always is (no point is big).
     last = len(candidates) - 1

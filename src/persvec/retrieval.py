@@ -17,6 +17,7 @@ R is the largest R_q, then averaged over queries level by level.
 
 from __future__ import annotations
 
+import functools
 import os
 import random
 from concurrent.futures import ProcessPoolExecutor
@@ -66,7 +67,11 @@ class DatabaseEntry:
 @dataclass
 class LabeledDatabase:
     """Entries with unique ids; per-transform embeddings share one (width, count) shape.
-    The first entry ``i`` that breaks either rule raises ``_BadRow(message, i)``."""
+    The first entry ``i`` that breaks either rule raises ``_BadRow(message, i)``.
+
+    A database is read as built: the rules are checked only at construction,
+    and the ids, their ranks and each transform's stacked vectors are derived
+    once (the latter two on first use), so its entries must not change."""
 
     entries: tuple[DatabaseEntry, ...] = ()
 
@@ -84,13 +89,19 @@ class LabeledDatabase:
                     raise _BadRow(f"inconsistent {kind!r} embeddings, {exc}", i) from None
         self.entries = entries
         self._positions = positions
+        self._ids = tuple(positions)
+        self._stacked: dict[str, np.ndarray] = {}  # filled by _stacked_vectors
 
     def __len__(self) -> int:
         return len(self.entries)
 
     @property
     def ids(self) -> tuple[str, ...]:
-        return tuple(e.model_id for e in self.entries)
+        return self._ids
+
+    @functools.cached_property
+    def _rank_by_id(self) -> np.ndarray:
+        return _readonly(_id_rank(self._ids))
 
     def position(self, model_id: str) -> int:
         """Index of the entry with this id."""
@@ -225,15 +236,24 @@ def _bottleneck_matrix(diagrams: list[PersistenceDiagram], threads: int) -> np.n
     return _mirrored(n, (strides[i % workers][i // workers] for i in range(n - 1)))
 
 
+def _readonly(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
 def _stacked_vectors(db: LabeledDatabase, transform: str) -> np.ndarray:
-    """The entries' ``transform`` vectors as an (N, k) complex array."""
-    rows = []
-    for e in db.entries:
-        vec = e.vectors.get(transform)
-        if vec is None:
-            raise ValueError(f"entry {e.model_id!r} has no {transform!r} embedding")
-        rows.append(vec.coefficients)
-    return np.array(rows, dtype=complex)
+    """The entries' ``transform`` vectors as a read-only (N, k) complex
+    array, built on the first call for ``db`` and ``transform``."""
+    stacked = db._stacked.get(transform)
+    if stacked is None:
+        rows = []
+        for e in db.entries:
+            vec = e.vectors.get(transform)
+            if vec is None:
+                raise ValueError(f"entry {e.model_id!r} has no {transform!r} embedding")
+            rows.append(vec.coefficients)
+        stacked = db._stacked[transform] = _readonly(np.array(rows, dtype=complex))
+    return stacked
 
 
 def distance_matrix(
@@ -270,7 +290,7 @@ def distance_matrix(
         coeffs = _stacked_vectors(db, transform)
         rows = (_coefficient_rows(coeffs[i], coeffs[i + 1 :], metric) for i in range(len(db) - 1))
         values = _mirrored(len(db), rows)
-    return DistanceMatrix(tuple(e.model_id for e in db.entries), values)
+    return DistanceMatrix(db.ids, values)
 
 
 # ------------------------------------------------------------------ PR
@@ -356,8 +376,7 @@ def two_stage_query(
             f"candidates must be between 1 and {len(others)}, got {candidates}"
         )
     coeffs = _stacked_vectors(db, transform)
-    ids = db.ids
-    id_rank = _id_rank(ids)
+    ids, id_rank = db.ids, db._rank_by_id
     prefilter = _coefficient_rows(coeffs[qi], coeffs[others], kind)
     ranked = others[_ranked(prefilter, id_rank[others])]
     head, tail = ranked[:candidates], ranked[candidates:]

@@ -31,6 +31,7 @@ from persvec.metrics import (
     coefficient_distance,
     point_distance,
 )
+from persvec.retrieval import synthetic_database
 from test_cli import sphere_grid_off
 
 
@@ -357,6 +358,51 @@ def test_bottleneck_equals_plain_bisection_on_reduced_graph(monkeypatch):
     # every outcome of a probe: the first cover fails; it covers every big
     # point of b; it does not, and the second cover succeeds; or it fails
     assert {tuple(p) for p in probes} == {(False,), (True,), (True, True), (True, False)}
+
+
+def test_bottleneck_probes_lower_bound_first(monkeypatch):
+    # L is probed before any candidate above it is sorted: a pair whose
+    # answer is L takes exactly that one probe, and a pair whose answer lies
+    # above L goes on only after the probe at L failed.
+    probes = []  # per pair, (t, feasible) for each probe
+    feasible = metrics._feasible
+
+    def spy(*args):
+        probes[-1].append((args[-1], feasible(*args)))
+        return probes[-1][-1][1]
+
+    monkeypatch.setattr(metrics, "_feasible", spy)
+    outcomes = {"at L": 0, "above L": 0}
+
+    def check(a, b):
+        probes.append([])
+        answer = bottleneck_distance(a, b)
+        cost = _cost_matrix(a, b)
+        bound = max(cost.min(axis=1).max(), cost.min(axis=0).max())
+        (first, ok), *rest = probes[-1]
+        assert first == bound
+        if answer == bound:
+            assert ok and not rest
+            outcomes["at L"] += 1
+        else:
+            assert not ok and answer > bound
+            outcomes["above L"] += 1
+
+    # pairs shaped like the benchmark's re-ranking: 60-point diagrams,
+    # within a class and across classes
+    db = synthetic_database(30, 10, base_points=6, noise_points=54, seed=42)
+    rng = random.Random(42)
+    for i in range(0, len(db), 10):
+        check(db.entries[i].diagram, db.entries[i + rng.randrange(1, 10)].diagram)
+        check(db.entries[i].diagram, db.entries[rng.randrange(len(db))].diagram)
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(grid_diagram_pairs())
+    def grid(pair):
+        check(*pair)
+
+    grid()
+    assert min(outcomes.values()) >= 20, outcomes
 
 
 def sphere_grid_diagram(seed, n_lat, n_lon, filter_name):

@@ -523,6 +523,31 @@ def test_a_smaller_count_is_the_exact_prefix_of_a_larger_one():
                             == two_stage_query(qid, cut, transform, kind, 3)), (transform, count, kind)
 
 
+def test_database_builds_ids_ranks_and_stacked_vectors_once():
+    db = embed_database(synthetic_database(6, 5, noise_points=10, seed=9), "T")
+    assert db.ids is db.ids
+    stacked = retrieval._stacked_vectors(db, "T")
+    assert retrieval._stacked_vectors(db, "T") is stacked
+    assert stacked.shape == (30, db.entries[0].vectors["T"].count)
+    with pytest.raises(ValueError, match="read-only"):
+        stacked[0, 0] = 0
+    # a failure is not kept: every call looks again and names the same entry
+    for _ in range(2):
+        with pytest.raises(ValueError, match="^entry 'c00m00' has no 'S' embedding$"):
+            retrieval._stacked_vectors(db, "S")
+
+
+def test_two_stage_query_on_a_reused_database_matches_a_fresh_one():
+    db = embed_database(embed_database(synthetic_database(6, 5, noise_points=10, seed=9), "T"), "S")
+    rng = random.Random(23)
+    for _ in range(20):
+        qid, kind, cands = rng.choice(db.ids), rng.choice(COEFFICIENT_METRICS), rng.randint(1, 29)
+        for transform in ("T", "S"):
+            fresh = LabeledDatabase(db.entries)
+            assert (two_stage_query(qid, db, transform, kind, cands)
+                    == two_stage_query(qid, fresh, transform, kind, cands)), (qid, transform)
+
+
 def test_two_stage_query_errors():
     db = embed_database(diagram_db(random_diagrams(random.Random(41), 4)), "R")
     with pytest.raises(ValueError, match="unknown model id"):
