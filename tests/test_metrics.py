@@ -367,9 +367,10 @@ def test_bottleneck_probes_lower_bound_first(monkeypatch):
     probes = []  # per pair, (t, feasible) for each probe
     feasible = metrics._feasible
 
-    def spy(*args):
-        probes[-1].append((args[-1], feasible(*args)))
-        return probes[-1][-1][1]
+    def spy(cross, half_a, half_b, t):
+        ok = feasible(cross, half_a, half_b, t)
+        probes[-1].append((t, ok))
+        return ok
 
     monkeypatch.setattr(metrics, "_feasible", spy)
     outcomes = {"at L": 0, "above L": 0}
