@@ -600,9 +600,9 @@ def synthetic_database(
 
     Each class gets ``base_points`` template points with births in
     [0, 0.5] and gaps in [0.2, 0.5].  Every member jitters each template
-    point by uniform offsets in [-0.02, 0.02] per coordinate (pushed back
-    above the diagonal if needed) and adds ``noise_points`` extra points
-    in a band of height 0.05 over the diagonal.
+    point by uniform offsets in [-0.02, 0.02] per coordinate, which keeps
+    its gap at least 0.16, and adds ``noise_points`` extra points in a
+    band of height 0.05 over the diagonal.
     """
     if classes < 1 or per_class < 1:
         raise ValueError("need at least one class and one member per class")
@@ -620,11 +620,7 @@ def synthetic_database(
         for mi in range(per_class):
             points = []
             for birth, death in template:
-                b = birth + rng.uniform(-0.02, 0.02)
-                d = death + rng.uniform(-0.02, 0.02)
-                if d <= b:
-                    d = b + 1e-9
-                points.append((b, d))
+                points.append((birth + rng.uniform(-0.02, 0.02), death + rng.uniform(-0.02, 0.02)))
             for _ in range(noise_points):
                 b = rng.uniform(0.0, 1.0)
                 gap = rng.uniform(0.0, 0.05)

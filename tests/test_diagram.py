@@ -68,6 +68,22 @@ def test_empty_diagram():
     assert parse_diagram(serialize_diagram(d)) == d
 
 
+def test_repr_evaluates_to_an_equal_diagram():
+    d = PersistenceDiagram.from_pairs([(0.25, 0.5), (-0.0, 1.0, 3), (0.25, 0.5, 2)], essential_count=2)
+    assert repr(d) == "PersistenceDiagram.from_pairs([(-0.0, 1.0, 3), (0.25, 0.5, 3)], 2)"
+    back = eval(repr(d), {"PersistenceDiagram": PersistenceDiagram})
+    assert back == d and repr(back) == repr(d)
+    assert math.copysign(1.0, back.births[0]) == -1.0
+
+
+def test_diagrams_and_root_lists_are_unequal_to_other_types():
+    d = PersistenceDiagram.from_pairs([(0.0, 1.0)])
+    roots = ComplexRootList((ComplexRoot(1j),))
+    for value, other in [(d, roots), (roots, d), (d, d._rows()), (roots, roots.roots), (d, None), (roots, 1j)]:
+        assert value.__eq__(other) is NotImplemented
+        assert value != other and not value == other
+
+
 def test_parse_basic():
     text = "# header\n0,1\n0.5,2.5,3\n\n# trailing comment\n"
     d = parse_diagram(text)

@@ -273,10 +273,24 @@ def plain_bisection(cost):
     return candidates, lo
 
 
+def large_cross_class_pairs():
+    """Synthetic pairs of 300 and of 1,000 points from different classes.
+
+    Each answer lies far above L: at index 160, 119, 1,232 and 420 of the
+    costs above L, while the sphere-grid pairs of the mesh-size gate below
+    answer at L.
+    """
+    for base, noise in ((30, 270), (100, 900)):
+        db = synthetic_database(4, 3, base_points=base, noise_points=noise, seed=5)
+        for i, j in ((0, 3), (2, 9)):
+            yield db.entries[i].diagram, db.entries[j].diagram
+
+
 def test_bottleneck_equals_plain_bisection_far_above_lower_bound():
-    # Diagrams of 20-40 points put the answer well above the search's
-    # lower bound L, past the first galloping steps, so a fault in the
-    # final bisection shows here; the small-diagram tests rarely get there.
+    # Diagrams of 20-40 points, and the large pairs, put the answer well
+    # above the search's lower bound L, past the first galloping steps and
+    # into the bisection that follows; the small-diagram tests rarely get
+    # there.
     rng = random.Random(53)
 
     def wide_diagram():
@@ -296,6 +310,12 @@ def test_bottleneck_equals_plain_bisection_far_above_lower_bound():
             far += 1
         assert bottleneck_distance(a, b) == candidates[answer]
     assert far >= 15
+    for a, b in large_cross_class_pairs():
+        cost = _cost_matrix(a, b)
+        candidates, answer = plain_bisection(cost)
+        bound = max(cost.min(axis=1).max(), cost.min(axis=0).max())
+        assert candidates[answer] > bound
+        assert bottleneck_distance(a, b) == candidates[answer]
 
 
 @st.composite
@@ -404,6 +424,47 @@ def test_bottleneck_probes_lower_bound_first(monkeypatch):
 
     grid()
     assert min(outcomes.values()) >= 20, outcomes
+
+
+def test_bottleneck_search_probes_within_exponential_search_bound(monkeypatch):
+    # After the probe at L, an answer at index k of the sorted costs above L
+    # takes at most 2 ceil(log2(k + 2)) - 1 probes: a linear scan breaks
+    # this far above L, and a bisection over all of them near L.
+    probes = []
+    feasible = metrics._feasible
+
+    def spy(*args):
+        probes[-1] += 1
+        return feasible(*args)
+
+    monkeypatch.setattr(metrics, "_feasible", spy)
+    ks = []
+
+    def check(a, b):
+        probes.append(0)
+        answer = bottleneck_distance(a, b)
+        cost = _cost_matrix(a, b)
+        bound = max(cost.min(axis=1).max(), cost.min(axis=0).max())
+        if answer > bound:
+            k = int(np.searchsorted(np.unique(cost[cost > bound]), answer))
+            assert probes[-1] - 1 <= 2 * math.ceil(math.log2(k + 2)) - 1, (k, probes[-1])
+            ks.append(k)
+
+    db = synthetic_database(30, 10, base_points=6, noise_points=54, seed=42)
+    rng = random.Random(42)
+    for i in range(0, len(db), 10):
+        check(db.entries[i].diagram, db.entries[i + rng.randrange(1, 10)].diagram)
+        check(db.entries[i].diagram, db.entries[rng.randrange(len(db))].diagram)
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(grid_diagram_pairs())
+    def grid(pair):
+        check(*pair)
+
+    grid()
+    for a, b in large_cross_class_pairs():
+        check(a, b)
+    assert len(ks) >= 40 and ks.count(0) >= 10 and max(ks) >= 1000, (len(ks), ks.count(0), max(ks))
 
 
 def sphere_grid_diagram(seed, n_lat, n_lon, filter_name):
