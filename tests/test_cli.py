@@ -647,8 +647,8 @@ def test_diagram_checks_the_triangles_once(tmp_path, monkeypatch):
 
 
 def test_importing_the_cli_loads_no_scipy():
-    """Every command pays for what ``persvec.cli`` imports; scipy is loaded
-    on first use, by the bottleneck distance only."""
+    """Every command pays for what ``persvec.cli`` imports; scipy is never
+    loaded, not even by the bottleneck distance (see below)."""
     import persvec
 
     src = os.path.dirname(os.path.dirname(persvec.__file__))
@@ -657,6 +657,58 @@ def test_importing_the_cli_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout == "[]\n"
 
+
+
+# Runs the commands that reach the bottleneck distance, and one distance
+# in-process, with or without scipy blocked (argv[1]), in directory argv[2].
+# Prints each exit code, the query's ranking and the distance's float.hex.
+BLOCKED_SCIPY_SCRIPT = """
+import contextlib, io, os, sys
+if sys.argv[1] == "blocked":
+    sys.modules["scipy"] = None  # any import of scipy now raises ImportError
+from persvec.cli import main
+from persvec.diagram import parse_diagram
+from persvec.metrics import bottleneck_distance
+
+os.chdir(sys.argv[2])
+for argv in (
+    "synth --classes 4 --per-class 3 --noise-points 24 --seed 9 --out db",
+    "embed --diagrams db --transform T --out index.csv",
+    "query --index index.csv --diagrams db --id c01m02 --metric d1 --candidates 6",
+    "dist --diagrams db --metric bottleneck --threads 1 --out one.csv",
+    "dist --diagrams db --metric bottleneck --threads 2 --out two.csv",
+):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = main(argv.split())
+    print(argv.split()[0], code, out.getvalue().split())
+a, b = (parse_diagram(open(f"db/{m}.csv").read()) for m in ("c00m00", "c03m01"))
+print(bottleneck_distance(a, b).hex())
+print(sorted(m for m, module in sys.modules.items() if module and m.split(".")[0] == "scipy"))
+"""
+
+
+def test_bottleneck_commands_run_with_scipy_blocked(tmp_path):
+    """synth, query and ``dist --metric bottleneck`` (one process and a
+    forked pool) and ``bottleneck_distance`` itself succeed with every
+    scipy import made to fail, and write the same bytes as a run without
+    the block."""
+    import persvec
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(persvec.__file__)))
+    printed, files = {}, {}
+    for mode in ("blocked", "free"):
+        (tmp_path / mode).mkdir()
+        proc = subprocess.run([sys.executable, "-c", BLOCKED_SCIPY_SCRIPT, mode, str(tmp_path / mode)],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        printed[mode] = proc.stdout
+        files[mode] = {p.relative_to(tmp_path / mode): p.read_bytes()
+                       for p in sorted((tmp_path / mode).rglob("*")) if p.is_file()}
+    lines = printed["blocked"].splitlines()
+    assert [line.split()[:2] for line in lines[:5]] == [[c, "0"] for c in ("synth", "embed", "query", "dist", "dist")]
+    assert len(lines[2].split()) > 3 and lines[-1] == "[]"
+    assert printed["blocked"] == printed["free"]
+    assert files["blocked"] == files["free"]
 
 def test_fractional_face_index_fails_under_default_warning_filters(tmp_path):
     """``diagram`` as run from a shell, where a DeprecationWarning is

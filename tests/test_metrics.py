@@ -277,7 +277,7 @@ def large_cross_class_pairs():
     """Synthetic pairs of 300 and of 1,000 points from different classes.
 
     Each answer lies far above L: at index 160, 119, 1,232 and 420 of the
-    costs above L, while the sphere-grid pairs of the mesh-size gate below
+    costs above L, while most sphere-grid pairs of the mesh-size gate below
     answer at L.
     """
     for base, noise in ((30, 270), (100, 900)):
@@ -475,15 +475,22 @@ def sphere_grid_diagram(seed, n_lat, n_lon, filter_name):
     return mesh_zero_persistence(centered, FILTERS[filter_name](centered, frame))
 
 
-@pytest.mark.parametrize("n_lat, n_lon, filter_name",
-                         [(60, 80, "line"), (60, 80, "plane"), (120, 160, "line")])
-def test_bottleneck_equals_plain_bisection_on_mesh_diagrams(n_lat, n_lon, filter_name):
+@pytest.mark.parametrize("n_lat, n_lon, filter_name, seeds, above_bound",
+                         [(60, 80, "line", (1, 2), False), (60, 80, "plane", (1, 2), False),
+                          (120, 160, "line", (1, 2), False), (60, 80, "line", (6, 7), True)])
+def test_bottleneck_equals_plain_bisection_on_mesh_diagrams(n_lat, n_lon, filter_name, seeds, above_bound):
     # Mesh-size diagrams (about 200-300 points on 60 x 80 grids, 1,400-1,600
     # on 120 x 160), far past the sizes the other exactness checks reach;
-    # the size check keeps them that large.
-    a, b = (sphere_grid_diagram(seed, n_lat, n_lon, filter_name) for seed in (1, 2))
+    # the size check keeps them that large.  The pairs of seeds 1 and 2
+    # answer at the lower bound L; that of seeds 6 and 7 (308 and 298
+    # points) answers at index 423 of the 759 costs above it, so the
+    # search and the matcher run past L on a mesh diagram.
+    a, b = (sphere_grid_diagram(seed, n_lat, n_lon, filter_name) for seed in seeds)
     assert min(a.total_multiplicity(), b.total_multiplicity()) > n_lat * n_lon // 25
-    candidates, answer = plain_bisection(_cost_matrix(a, b))
+    cost = _cost_matrix(a, b)
+    candidates, answer = plain_bisection(cost)
+    bound = max(cost.min(axis=1).max(), cost.min(axis=0).max())
+    assert (candidates[answer] > bound) == above_bound
     assert bottleneck_distance(a, b) == candidates[answer]
 
 
@@ -522,14 +529,33 @@ def test_bottleneck_stability_under_perturbed_values(graph):
 
 def test_row_cover_agrees_with_hopcroft_karp():
     # networkx's pure-Python Hopcroft-Karp decides whether a matching
-    # covers every row, independently of scipy's solver.
+    # covers every row, independently of the code under test.
     rng = np.random.default_rng(15)
     graphs = [np.zeros((0, 4), dtype=bool), np.zeros((0, 0), dtype=bool), np.zeros((3, 0), dtype=bool)]
-    for shape in [(1, 1), (5, 3), (3, 5), (60, 60), (60, 40), (40, 60)]:
+    for shape in [(1, 1), (5, 3), (3, 5), (60, 60), (60, 40), (40, 60), (300, 300), (200, 300), (300, 200)]:
         graphs += [np.zeros(shape, dtype=bool), np.ones(shape, dtype=bool)]
     for density in (0.05, 0.1, 0.2, 0.35, 0.5, 0.7, 0.9):
         for _ in range(30):
             graphs.append(rng.random(rng.integers(1, 61, size=2)) < density)
+    for density in (0.02, 0.05, 0.2, 0.5, 0.9):
+        for _ in range(4):
+            graphs.append(rng.random(rng.integers(100, 301, size=2)) < density)
+    # a chain that the greedy pass matches except for its last row, whose
+    # one augmenting path runs back through every row: row i -> {i, i+1},
+    # the last row -> {0}
+    chain = np.zeros((300, 300), dtype=bool)
+    chain[np.arange(299), np.arange(299)] = chain[np.arange(299), np.arange(1, 300)] = True
+    chain[299, 0] = True
+    graphs.append(chain)
+    # Hall violations with no empty row: k + 1 rows share k columns, the
+    # other rows have columns to spare
+    for m, n, k in ((100, 120, 10), (150, 150, 40), (250, 300, 99), (120, 100, 60)):
+        adj = rng.random((m, n)) < 0.1
+        adj[:, 0] = True
+        tight = rng.choice(m, k + 1, replace=False)
+        adj[tight] = False
+        adj[np.ix_(tight, rng.choice(n, k, replace=False))] = True
+        graphs.append(adj)
     outcomes = {"cover": 0, "isolated row": 0, "Hall violation": 0}
     for adj in graphs:
         m, n = adj.shape
