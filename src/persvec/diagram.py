@@ -16,13 +16,18 @@ An infinite death is written as the literal ``inf``.
 
 from __future__ import annotations
 
+import io
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
+import orjson
 
 _LIMIT = 2**63  # multiplicities are stored as int64
+_ROWS = np.dtype([("birth", float), ("death", float)])  # diagram CSV rows, as numpy reads them
+_COUNTED_ROWS = np.dtype([*_ROWS.descr, ("multiplicity", np.int64)])
 
 
 class _BadRow(ValueError):
@@ -225,6 +230,56 @@ def _integer(text: str) -> int:
         raise
 
 
+def _lf_lines(text: str) -> bool:
+    """Whether ``text`` is ASCII with no line break but ``\\n``, so that numpy's
+    reader sees exactly the lines ``str.splitlines`` makes of it."""
+    return text.isascii() and not any(c in text for c in "\r\x0b\x0c\x1c\x1d\x1e")
+
+
+def _bulk_block(block, dtype, shape, delimiter=None) -> np.ndarray | None:
+    """``block`` (a text or a list of lines) as an array of ``shape`` (None: any
+    row count of a structured ``dtype``), read by numpy's C reader, which reads
+    every field it accepts as ``float()``/``int()`` do.  None (the caller reads
+    line by line) on another shape, a field it rejects (``1_0``, ``2.0`` as an
+    int, a non-ASCII digit, an int past 64 bits) or any warning: a release may
+    read an int field such as ``1.5`` through float with only a
+    DeprecationWarning, and no rows at all come with a UserWarning."""
+    if shape and not shape[0]:
+        return np.empty(shape, dtype)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = np.loadtxt(io.StringIO(block) if isinstance(block, str) else block,
+                              dtype=dtype, delimiter=delimiter, comments=None,
+                              ndmin=len(shape) if shape else 1)
+    except (ValueError, Warning):
+        return None
+    return rows if shape is None or rows.shape == shape else None
+
+
+def _bulk_diagram(text: str) -> PersistenceDiagram | None:
+    """The diagram of a text with at most one ``#`` line, its first, read in one
+    numpy pass; None where per-line parsing must decide (it also names the line)."""
+    body = text.partition("\n")[2] if text.startswith("#") else text
+    if "#" in body or not _lf_lines(text):
+        return None
+    counted = body.partition("\n")[0].count(",") == 2  # the first row's fields pick the row type
+    rows = _bulk_block(body, _COUNTED_ROWS if counted else _ROWS, None, delimiter=",")
+    if rows is None:
+        return None
+    b, d = rows["birth"], rows["death"]
+    m = rows["multiplicity"] if counted else np.ones(len(rows), np.int64)
+    essential, count = d == math.inf, 0
+    if essential.any():
+        if not (np.isfinite(b[essential]).all() and (m[essential] >= 1).all()):
+            return None
+        b, d, m, count = b[~essential], d[~essential], m[~essential], sum(m[essential].tolist())
+    try:
+        return PersistenceDiagram(b, d, m, count)
+    except ValueError:
+        return None
+
+
 def parse_diagram(text: str) -> PersistenceDiagram:
     """Parse diagram CSV.
 
@@ -234,6 +289,8 @@ def parse_diagram(text: str) -> PersistenceDiagram:
     first bad line: a malformed row, an invalid point, or an essential row
     with a non-finite birth or a multiplicity (or running total) off the rule.
     """
+    if (diagram := _bulk_diagram(text)) is not None:
+        return diagram
     essential = 0
 
     def read(line: str):
@@ -261,15 +318,26 @@ def parse_diagram(text: str) -> PersistenceDiagram:
                        lambda rows: PersistenceDiagram.from_pairs(rows, essential))
 
 
+def _plain_floats(values: np.ndarray) -> np.ndarray:
+    """Where ``orjson.dumps`` writes a float as ``repr`` does: zero and [1e-4,
+    1e16), in plain notation.  Elsewhere ``repr`` may write an exponent
+    (``1e-05``, ``1e+16``) where orjson does not; negatives are left to it too."""
+    return (values == 0) | ((values >= 1e-4) & (values < 1e16))
+
+
 def serialize_diagram(diagram: PersistenceDiagram) -> str:
     """Serialize to CSV, sorted by (birth, death).
 
     Uses shortest round-trip float formatting, so
-    ``parse_diagram(serialize_diagram(d)) == d`` exactly.
+    ``parse_diagram(serialize_diagram(d)) == d`` exactly: one ``orjson.dumps``
+    writes the rows, then ``repr`` each row :func:`_plain_floats` does not cover.
     """
-    lines = ["# birth,death,multiplicity"] + [f"{b!r},{d!r},{m}" for b, d, m in diagram._rows()]
+    rows = diagram._rows()
+    lines = orjson.dumps(rows)[2:-2].decode().split("],[") if rows else []
+    for i in np.flatnonzero(~(_plain_floats(diagram.births) & _plain_floats(diagram.deaths))):
+        lines[i] = "{!r},{!r},{}".format(*rows[i])
     if diagram.essential_count:
         # Individual birth levels of never-dying classes are not retained,
         # only their count; 0 is written as a placeholder birth.
         lines.append(f"0,inf,{diagram.essential_count}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(["# birth,death,multiplicity", *lines]) + "\n"

@@ -19,12 +19,11 @@ independent check on that sweep.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .diagram import PersistenceDiagram
+from .diagram import PersistenceDiagram, _bulk_block, _lf_lines
 
 
 def _index_rows(entries, width: int, vertices: int, what: str) -> np.ndarray:
@@ -112,24 +111,28 @@ class MeshFrame:
 # ------------------------------------------------------------------ OFF
 
 
-def _bulk_block(block: list[str], width: int, dtype) -> np.ndarray | None:
-    """Lines of exactly ``width`` fields as one array, read by numpy's C
-    reader, which reads every field it accepts as ``float()``/``int()`` do;
-    None (per-line parsing takes over) on any other field count or a field
-    it rejects, such as ``1_0``, a non-ASCII digit or an int past 64 bits.
-
-    From numpy 1.23 on, a release may read an int field such as ``1.5``
-    or ``1e1`` through float and truncate it, with only a
-    DeprecationWarning; raised as an error, that warning rejects the field."""
-    if not block:
-        return np.empty((0, width), dtype=dtype)
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            rows = np.loadtxt(block, dtype=dtype, ndmin=2)
-    except (ValueError, DeprecationWarning):
+def _bulk_off(text: str) -> TriangleMesh | None:
+    """The mesh of a plain OFF text (``OFF`` on its first line, no ``#``, no
+    line break but ``\\n``), its two blocks read from slices of the text;
+    None (the line list takes over) where that would not be the line list's
+    reading, as where a block holds a blank line or another field count."""
+    if not (text.startswith("OFF\n") and "#" not in text and _lf_lines(text)):
         return None
-    return rows if rows.shape == (len(block), width) else None
+    ends = np.flatnonzero(np.frombuffer(text.encode(), np.uint8) == ord("\n"))
+    if not text.endswith("\n"):
+        ends = np.append(ends, len(text))
+    try:
+        n_vertices, n_faces = map(int, text[4 : ends[1]].split()[:2])
+    except (IndexError, ValueError):
+        return None
+    if n_vertices < 1 or n_faces < 0 or len(ends) < 2 + n_vertices + n_faces:
+        return None
+    face_start = ends[1 + n_vertices] + 1
+    vertices = _bulk_block(text[ends[1] + 1 : face_start], float, (n_vertices, 3))
+    faces = _bulk_block(text[face_start : ends[1 + n_vertices + n_faces] + 1], np.int64, (n_faces, 4))
+    if vertices is None or faces is None or not np.all(faces[:, 0] == 3):
+        return None
+    return TriangleMesh(vertices, faces[:, 1:])
 
 
 def parse_off(text: str) -> TriangleMesh:
@@ -138,8 +141,11 @@ def parse_off(text: str) -> TriangleMesh:
     Layout: ``OFF`` header, a counts line (vertices, faces, and an
     ignored edge count), one line per vertex with three coordinates,
     then one line per face as ``3 i j k`` (trailing tokens, e.g. face
-    colors, are ignored).  ``#`` starts a comment.
+    colors, are ignored).  ``#`` starts a comment.  A text :func:`_bulk_off`
+    reads skips the line list; errors come from the line list and name the line.
     """
+    if (mesh := _bulk_off(text)) is not None:
+        return mesh
     raw_lines = text.splitlines()
     if "#" in text:
         raw_lines = [raw.split("#", 1)[0] for raw in raw_lines]
@@ -167,7 +173,7 @@ def parse_off(text: str) -> TriangleMesh:
             f"truncated OFF file: expected {n_vertices + n_faces} body lines, "
             f"found {len(lines) - pos}"
         )
-    vertices = _bulk_block(lines[pos : pos + n_vertices], 3, float)
+    vertices = _bulk_block(lines[pos : pos + n_vertices], float, (n_vertices, 3))
     if vertices is None:
         vertices = np.empty((n_vertices, 3), dtype=float)
         for i in range(n_vertices):
@@ -179,7 +185,7 @@ def parse_off(text: str) -> TriangleMesh:
             except ValueError:
                 raise ValueError(f"malformed vertex line {lines[pos + i]!r}") from None
     pos += n_vertices
-    faces = _bulk_block(lines[pos : pos + n_faces], 4, np.int64)
+    faces = _bulk_block(lines[pos : pos + n_faces], np.int64, (n_faces, 4))
     if faces is not None and np.all(faces[:, 0] == 3):
         return TriangleMesh(vertices, faces[:, 1:])
     triangles = []

@@ -238,7 +238,9 @@ def bottleneck_distance(a: PersistenceDiagram, b: PersistenceDiagram) -> float:
     if _feasible(cross, half_a, half_b, bound):
         return float(bound)
     costs = np.concatenate((cross.ravel(), half_a, half_b))
-    candidates = np.unique(costs[costs > bound])
+    # A sort and a neighbour mask: np.unique would import numpy.ma on first use.
+    candidates = np.sort(costs[costs > bound])
+    candidates = candidates[np.append(True, candidates[1:] != candidates[:-1])]
     # Nothing below lo is feasible and candidates[hi] is (the largest cost
     # always is: no point is big).  While probes fail, mid gallops (0, 2,
     # 6, 14, ...); after the first success the bracket is shorter than

@@ -29,7 +29,7 @@ import orjson
 
 from .coefficients import CoefficientVector, _check_shape, embed_diagrams
 from .coefficients import embed_diagram  # noqa: F401 -- perfbench's tracer wraps it here
-from .diagram import PersistenceDiagram, _BadRow, _parse_rows, _records
+from .diagram import PersistenceDiagram, _BadRow, _parse_rows, _plain_floats, _records
 from .metrics import _check_metric, _coefficient_rows, bottleneck_distance
 from .metrics import coefficient_distance  # noqa: F401 -- perfbench's tracer wraps it here
 from .transforms import get_transform
@@ -482,13 +482,11 @@ def load_index(path) -> LabeledDatabase:
 def serialize_matrix(matrix: DistanceMatrix) -> str:
     """Matrix CSV: the ids, then one row per model, each cell as ``repr`` writes it.
 
-    A row whose cells are all zero or in [1e-4, 1e16) is written by
-    ``orjson.dumps``: in that range both give the shortest round-trip digits
-    in plain notation.  Outside it ``repr`` switches to exponents (``1e-05``,
-    ``1e+16``) where orjson does not, so any other row is joined from ``repr``.
+    A row whose cells :func:`_plain_floats` all covers is written by
+    ``orjson.dumps``; any other row is joined from ``repr``.
     """
     values = matrix.values
-    plain = ((values == 0) | ((values >= 1e-4) & (values < 1e16))).all(axis=1)
+    plain = _plain_floats(values).all(axis=1)
     lines = [",".join(matrix.ids)]
     for row, fast in zip(values.tolist(), plain.tolist()):
         lines.append(orjson.dumps(row)[1:-1].decode() if fast else ",".join(map(repr, row)))

@@ -11,6 +11,7 @@ import persvec.diagram as diagram_module
 from persvec.diagram import (
     PersistenceDiagram,
     PersistencePoint,
+    _BadRow,
     parse_diagram,
     serialize_diagram,
 )
@@ -131,6 +132,131 @@ def test_parse_errors():
 def test_parse_error_reports_line_number():
     with pytest.raises(ValueError, match="line 3"):
         parse_diagram("# ok\n0,1\n5,2\n")
+
+
+def per_line_parse_diagram(text):
+    """The per-line diagram reader as first written, kept as the reference:
+    rows are read line by line, and the first bad line is named."""
+    essential, rows, linenos = 0, [], []
+
+    def build():
+        try:
+            return PersistenceDiagram.from_pairs(rows, essential)
+        except _BadRow as exc:
+            raise ValueError(f"line {linenos[exc.args[1]]}: {exc}") from None
+
+    def multiplicity(field):
+        try:
+            return int(field)
+        except ValueError:
+            if (x := float(field)).is_integer():
+                return int(x)
+            raise
+
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split(",")
+        try:
+            if len(fields) not in (2, 3):
+                raise ValueError(f"expected 2 or 3 fields, got {len(fields)}")
+            try:
+                birth, death = float(fields[0]), float(fields[1])
+            except ValueError:
+                raise ValueError(f"malformed number in {line!r}") from None
+            try:
+                mult = multiplicity(fields[2]) if len(fields) == 3 else 1
+            except ValueError:
+                raise ValueError(f"malformed multiplicity {fields[2].strip()!r}") from None
+            if death == math.inf and not (math.isfinite(birth) and 1 <= mult < 2**63
+                                          and essential + mult < 2**63):
+                raise ValueError("an essential row needs a finite birth and a multiplicity "
+                                 "from 1 to 2**63 - 1, also summed over the essential rows")
+        except ValueError as exc:
+            build()
+            raise ValueError(f"line {lineno}: {exc}") from None
+        if death == math.inf:
+            essential += mult
+        else:
+            rows.append((birth, death, mult))
+            linenos.append(lineno)
+    return build()
+
+
+def fuzzed_diagram(rng):
+    """A small diagram CSV; most carry one defect or oddity."""
+    counted = rng.random() < 0.5  # the same field count on every row, unless defect 1
+    rows = []
+    for _ in range(rng.randrange(7)):
+        b = rng.choice([rng.uniform(-5, 5), float(rng.randrange(-3, 3)), 5e-324, -1e-300])
+        row = [repr(b), repr(b + rng.choice([rng.uniform(1e-9, 5), 1.0, 1e300]))]
+        rows.append(row + [str(rng.randrange(1, 4))] * counted)
+    if rng.random() < 0.3:  # essential rows
+        for _ in range(rng.randrange(1, 3)):
+            rows.insert(rng.randrange(len(rows) + 1),
+                        [repr(rng.uniform(-5, 5)), "inf"] + [str(rng.randrange(1, 4))] * counted)
+    if rows and rng.random() < 0.2:  # a repeated row, which merges
+        rows.append(list(rng.choice(rows)))
+    defect = rng.randrange(18)
+    row = rng.choice(rows) if rows else None
+    if row is None:
+        pass
+    elif defect == 0:  # mixed 2- and 3-field rows
+        row[2:] = [] if len(row) == 3 else ["2"]
+    elif defect == 1:  # multiplicities at and past the edges of the rule
+        row[2:] = [rng.choice(["2.0", "1_0", "0", "-1", "1.5", "1e1", "x", "", str(2**63 - 1), str(2**63)])]
+    elif defect == 2:  # essential rows whose sum passes 2**63
+        rows += [["0", "inf", str(2**62)], ["1", "inf", str(2**62)]]
+    elif defect == 3:  # non-finite fields
+        row[rng.randrange(2)] = rng.choice(["inf", "-inf", "nan", "Infinity"])
+    elif defect == 4:  # signed zeros
+        row[0:2] = rng.choice([["-0.0", "1"], ["-1", "-0.0"], ["0.0", "-0.0"]])
+    elif defect == 5:  # spaces around fields
+        row[:] = [rng.choice(["", " ", "  ", "\t"]) + f + rng.choice(["", " ", "\t"]) for f in row]
+    elif defect == 6:  # a field count off the format
+        row[1:] = row[1:] + [rng.choice(["1", ""])] * 2 if rng.random() < 0.5 else []
+    elif defect == 7:  # malformed numbers
+        row[rng.randrange(2)] = rng.choice(["abc", "1.2.3", "0x1", "1_0.5", "\u0663", "1\x00"])
+    elif defect == 8:  # a point on or below the diagonal
+        row[1] = row[0] if rng.random() < 0.5 else repr(float(row[0]) - 1)
+    elif defect == 9:  # a comment after a row
+        row[-1] += rng.choice([" # note", "#"])
+    lines = [",".join(row) for row in rows]
+    for _ in range(rng.randrange(3) if rng.random() < 0.4 else 0):  # comment and blank lines
+        lines.insert(rng.randrange(len(lines) + 1), rng.choice(["", "   ", "\t", "# note", "  # 1,2"]))
+    if rng.random() < 0.7:
+        lines.insert(0, rng.choice(["# birth,death,multiplicity", "# birth,death", " # header"]))
+    eol = rng.choice(["\n"] * 6 + ["\r\n", "\x0b"])
+    return eol.join(lines) + rng.choice(["", eol, eol * 2])
+
+
+def diagram_outcome(parser, text):
+    try:
+        d = parser(text)
+    except ValueError as exc:
+        return ("error", str(exc))
+    return ("ok", d.births.tobytes(), d.deaths.tobytes(), d.multiplicities.tobytes(), d.essential_count)
+
+
+def test_parse_diagram_matches_per_line_parser(monkeypatch):
+    bulk_diagram, bulk = diagram_module._bulk_diagram, []
+
+    def spy(text):
+        diagram = bulk_diagram(text)
+        bulk.append(diagram is not None)
+        return diagram
+
+    monkeypatch.setattr(diagram_module, "_bulk_diagram", spy)
+    rng = random.Random(2727)
+    kinds = {"ok": 0, "error": 0}
+    for _ in range(600):
+        text = fuzzed_diagram(rng)
+        want = diagram_outcome(per_line_parse_diagram, text)
+        assert diagram_outcome(parse_diagram, text) == want, text
+        kinds[want[0]] += 1
+    assert min(kinds.values()) > 200, kinds
+    assert sum(bulk) > 120, sum(bulk)  # texts read in one numpy pass
 
 
 def test_serialize_is_sorted_and_exact():

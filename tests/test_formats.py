@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from persvec.coefficients import CoefficientVector
-from persvec.diagram import _BadRow, parse_diagram
+from persvec.diagram import PersistenceDiagram, _BadRow, parse_diagram, serialize_diagram
 from persvec.retrieval import (
     DatabaseEntry,
     DistanceMatrix,
@@ -281,6 +281,26 @@ def test_serialize_matrix_is_byte_identical_to_repr(data):
     matrix = DistanceMatrix(tuple(f"m{i}" for i in range(n)), values)
     rows = [",".join(map(repr, row)) for row in values.tolist()]
     assert serialize_matrix(matrix) == "\n".join([",".join(matrix.ids), *rows]) + "\n"
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.data())
+def test_serialize_diagram_is_byte_identical_to_repr(data):
+    coordinate = st.sampled_from([plain_cells, any_cells]).flatmap(
+        lambda cells: st.tuples(cells, st.booleans()).map(lambda c: -c[0] if c[1] else c[0]))
+    pairs = data.draw(st.lists(st.tuples(coordinate, coordinate).filter(lambda p: p[0] != p[1]), max_size=8))
+    mults = st.integers(1, 4) | st.integers(1, 2**63 - 1)
+    rows = [(min(p), max(p), data.draw(mults)) for p in pairs]
+    rows = [row for i, row in enumerate(rows) if row[:2] not in (r[:2] for r in rows[:i])]  # no merges
+    essential = data.draw(st.sampled_from([0, 1, 2**63 - 1]) | st.integers(0, 9))
+    diagram = PersistenceDiagram.from_pairs(rows, essential)
+    lines = ["# birth,death,multiplicity"] + [f"{b!r},{d!r},{m}" for b, d, m in diagram._rows()]
+    text = "\n".join(lines + [f"0,inf,{essential}"] * bool(essential)) + "\n"
+    assert serialize_diagram(diagram) == text
+    again = parse_diagram(text)
+    assert again == diagram and again.essential_count == essential
+    assert again.births.tobytes() == diagram.births.tobytes()
+    assert again.deaths.tobytes() == diagram.deaths.tobytes()
 
 
 def parse_outcome(text: str):

@@ -190,7 +190,7 @@ def fuzzed_off(rng):
 
     verts = [[f"{rng.uniform(-9, 9):.{rng.randint(0, 6)}f}" for _ in range(3)] for _ in range(n)]
     faces = [["3"] + [str(i) for i in rng.sample(range(n), 3)] for _ in range(m)]
-    defect = rng.randrange(20)
+    defect = rng.randrange(22)
     if defect == 0:  # colour tokens on a vertex line
         rng.choice(verts).extend(["0.5", "0.25", "1"])
     elif defect == 1 and m:  # colour tokens on a face line
@@ -234,19 +234,25 @@ def fuzzed_off(rng):
         row[rng.randrange(len(row))] += "\x00"
     body = [join(v) for v in verts] + [join(f) for f in faces]
     if defect == 12:  # surplus body lines are ignored
-        body.append("1 2 3")
+        body += rng.choice([["1 2 3"], ["x"], ["", "3 0 1 2", "   "]])
     elif defect == 13:  # one body line too few
         body.pop()
+    elif defect == 19:  # a vertex block of blank lines, which numpy reads as no data
+        body[:n] = [rng.choice(["", "  "])] * n
+    elif defect == 20:  # a line break that numpy reads as whitespace
+        body[rng.randrange(len(body))] += rng.choice(["\x1c", "\x0c", "\r"]) + "1"
+    noisy = rng.random() < 0.3  # else no comment or blank line: blocks read as slices
     lines = ["OFF", f"{n} {m} 0"]
     for line in body:
-        if rng.random() < 0.15:
+        if noisy and rng.random() < 0.15:
             lines.append(rng.choice(["", "   ", "# note", "\t# 1 2 3"]))
-        if rng.random() < 0.15:
+        if noisy and rng.random() < 0.15:
             line += rng.choice([" # trailing", "#", "\t"])
         lines.append(rng.choice(["", " ", "\t"]) + line)
     if defect == 14:
         lines.insert(0, "# leading comment")
-    return "\n".join(lines) + rng.choice(["", "\n", "\n\n"])
+    eol = rng.choice(["\n"] * 8 + ["\r\n", "\r"])
+    return eol.join(lines) + rng.choice(["", eol, eol * 2])
 
 
 def parse_outcome(parser, text):
@@ -258,7 +264,15 @@ def parse_outcome(parser, text):
             mesh.triangles.dtype, mesh.triangles.tobytes())
 
 
-def test_parse_off_matches_per_line_parser():
+def test_parse_off_matches_per_line_parser(monkeypatch):
+    bulk_off, sliced = mesh_module._bulk_off, []
+
+    def spy(text):
+        mesh = bulk_off(text)
+        sliced.append(mesh is not None)
+        return mesh
+
+    monkeypatch.setattr(mesh_module, "_bulk_off", spy)
     rng = random.Random(6060)
     kinds = {"ok": 0, "error": 0}
     for _ in range(600):
@@ -267,6 +281,7 @@ def test_parse_off_matches_per_line_parser():
         assert parse_outcome(parse_off, text) == want, text
         kinds[want[0]] += 1
     assert kinds["ok"] > 200 and kinds["error"] > 200, kinds
+    assert sum(sliced) > 60, sum(sliced)  # texts whose blocks were read as slices
 
 
 def test_parse_off_refuses_ints_read_through_float(monkeypatch):

@@ -1,5 +1,8 @@
 import math
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -424,6 +427,22 @@ def test_bottleneck_probes_lower_bound_first(monkeypatch):
 
     grid()
     assert min(outcomes.values()) >= 20, outcomes
+
+
+def test_search_above_lower_bound_loads_no_numpy_ma():
+    """Sorting the candidates above L must not import ``numpy.ma``, as the first
+    ``np.unique`` of a process does (about 15 ms).  Here L is 1: the lone point
+    of ``a`` is 1 from both points of ``b``, but the probe at 1 fails, since one
+    of them must go to the diagonal, and the answer is the half-gap 4.5."""
+    import persvec
+
+    code = ("import sys; from persvec.diagram import PersistenceDiagram as D; "
+            "from persvec.metrics import bottleneck_distance; "
+            "print(bottleneck_distance(D.from_pairs([(0, 10)]), D.from_pairs([(0, 9), (0, 11)])), "
+            "'numpy.ma' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(persvec.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "4.5 False\n"
 
 
 def test_bottleneck_search_probes_within_exponential_search_bound(monkeypatch):
