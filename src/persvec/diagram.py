@@ -236,23 +236,25 @@ def _lf_lines(text: str) -> bool:
     return text.isascii() and not any(c in text for c in "\r\x0b\x0c\x1c\x1d\x1e")
 
 
-def _bulk_block(block, dtype, shape, delimiter=None) -> np.ndarray | None:
-    """``block`` (a text or a list of lines) as an array of ``shape`` (None: any
-    row count of a structured ``dtype``), read by numpy's C reader, which reads
-    every field it accepts as ``float()``/``int()`` do.  None (the caller reads
-    line by line) on another shape, a field it rejects (``1_0``, ``2.0`` as an
-    int, a non-ASCII digit, an int past 64 bits) or any warning: a release may
-    read an int field such as ``1.5`` through float with only a
-    DeprecationWarning, and no rows at all come with a UserWarning."""
+def _bulk_block(block: str, dtype, shape, delimiter=None) -> np.ndarray | None:
+    """``block`` as an array of ``shape`` (None: any row count of a structured
+    ``dtype``), read by numpy's C reader, which reads every field it accepts as
+    ``float()``/``int()`` do.  None (the caller reads line by line) on another
+    shape, on a field it rejects (``1_0``, ``2.0`` as an int, a non-ASCII digit,
+    an int past 64 bits) and on a block of blank lines, where loadtxt would warn
+    "input contained no data".  A release may read an int field such as ``1.5``
+    through float with only a DeprecationWarning; while loadtxt runs, the
+    process-wide warning filters raise that warning as an error."""
     if shape and not shape[0]:
         return np.empty(shape, dtype)
+    if not block or block.isspace():
+        return None
     try:
         with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            rows = np.loadtxt(io.StringIO(block) if isinstance(block, str) else block,
-                              dtype=dtype, delimiter=delimiter, comments=None,
-                              ndmin=len(shape) if shape else 1)
-    except (ValueError, Warning):
+            warnings.simplefilter("error", DeprecationWarning)
+            rows = np.loadtxt(io.StringIO(block), dtype=dtype, delimiter=delimiter,
+                              comments=None, ndmin=len(shape) if shape else 1)
+    except (ValueError, DeprecationWarning):
         return None
     return rows if shape is None or rows.shape == shape else None
 

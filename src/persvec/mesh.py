@@ -114,8 +114,8 @@ class MeshFrame:
 def _bulk_off(text: str) -> TriangleMesh | None:
     """The mesh of a plain OFF text (``OFF`` on its first line, no ``#``, no
     line break but ``\\n``), its two blocks read from slices of the text;
-    None (the line list takes over) where that would not be the line list's
-    reading, as where a block holds a blank line or another field count."""
+    None (the per-line reader takes over) where that would not be its reading,
+    as where a block holds a blank line or another field count."""
     if not (text.startswith("OFF\n") and "#" not in text and _lf_lines(text)):
         return None
     ends = np.flatnonzero(np.frombuffer(text.encode(), np.uint8) == ord("\n"))
@@ -142,7 +142,7 @@ def parse_off(text: str) -> TriangleMesh:
     ignored edge count), one line per vertex with three coordinates,
     then one line per face as ``3 i j k`` (trailing tokens, e.g. face
     colors, are ignored).  ``#`` starts a comment.  A text :func:`_bulk_off`
-    reads skips the line list; errors come from the line list and name the line.
+    reads skips the per-line reader; errors come from it and name the line.
     """
     if (mesh := _bulk_off(text)) is not None:
         return mesh
@@ -173,21 +173,16 @@ def parse_off(text: str) -> TriangleMesh:
             f"truncated OFF file: expected {n_vertices + n_faces} body lines, "
             f"found {len(lines) - pos}"
         )
-    vertices = _bulk_block(lines[pos : pos + n_vertices], float, (n_vertices, 3))
-    if vertices is None:
-        vertices = np.empty((n_vertices, 3), dtype=float)
-        for i in range(n_vertices):
-            fields = lines[pos + i].split()
-            if len(fields) < 3:
-                raise ValueError(f"vertex line {i} has {len(fields)} fields, need 3")
-            try:
-                vertices[i] = [float(fields[0]), float(fields[1]), float(fields[2])]
-            except ValueError:
-                raise ValueError(f"malformed vertex line {lines[pos + i]!r}") from None
+    vertices = np.empty((n_vertices, 3), dtype=float)
+    for i in range(n_vertices):
+        fields = lines[pos + i].split()
+        if len(fields) < 3:
+            raise ValueError(f"vertex line {i} has {len(fields)} fields, need 3")
+        try:
+            vertices[i] = [float(fields[0]), float(fields[1]), float(fields[2])]
+        except ValueError:
+            raise ValueError(f"malformed vertex line {lines[pos + i]!r}") from None
     pos += n_vertices
-    faces = _bulk_block(lines[pos : pos + n_faces], np.int64, (n_faces, 4))
-    if faces is not None and np.all(faces[:, 0] == 3):
-        return TriangleMesh(vertices, faces[:, 1:])
     triangles = []
     for i in range(n_faces):
         fields = lines[pos + i].split()
