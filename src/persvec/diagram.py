@@ -89,7 +89,12 @@ def _merged(keys: tuple[np.ndarray, ...], m: np.ndarray):
         return (*keys, m)
     if int(m.max()) > (_LIMIT - 1) // len(m):  # int64 sums could wrap: add exactly
         if max(np.add.reduceat(m.astype(object), starts)) >= _LIMIT:
-            raise ValueError("a merged multiplicity does not fit a 64-bit integer")
+            # each group's running total, exactly; the stable sort keeps a group's
+            # rows in input order, so its first row past the limit comes first
+            running = np.cumsum(m.astype(object))
+            running -= np.repeat((running - m)[starts], np.diff([*starts, len(m)]))
+            raise _BadRow("a merged multiplicity does not fit a 64-bit integer",
+                          int(order[running >= _LIMIT].min()))
     return (*(k[starts] for k in keys), np.add.reduceat(m, starts))
 
 

@@ -27,6 +27,7 @@ from typing import Mapping
 import numpy as np
 import orjson
 
+from . import coefficients
 from .coefficients import CoefficientVector, _check_shape, embed_diagrams
 from .coefficients import embed_diagram  # noqa: F401 -- perfbench's tracer wraps it here
 from .diagram import PersistenceDiagram, _BadRow, _parse_rows, _plain_floats, _records
@@ -330,19 +331,29 @@ def pr_curve(matrix: DistanceMatrix, labels: Mapping[str, str]) -> PRTable:
     id_rank = _id_rank(ids)
     class_code = {cls: c for c, cls in enumerate(class_sizes)}
     codes = np.array([class_code[labels[mid]] for mid in ids])
+    relevant = np.array(list(class_sizes.values()))[codes] - 1
     levels = np.arange(1, grid + 1)
     at_levels = np.empty((n, grid))
-    for qi in range(n):
-        # rank by (distance, id); the query itself sorts among the zeros
-        order = _ranked(matrix.values[qi], id_rank)
-        order = order[order != qi]
-        relevant = class_sizes[labels[ids[qi]]] - 1
-        hit_ranks = np.flatnonzero(codes[order] == codes[qi]) + 1
-        precisions = np.arange(1, relevant + 1) / hit_ranks
-        # interpolate: best precision at recall >= level
-        precisions = np.maximum.accumulate(precisions[::-1])[::-1]
-        # smallest t with t/relevant >= i/grid, in exact integer math
-        at_levels[qi] = precisions[-((-levels * relevant) // grid) - 1]
+    step = max(1, coefficients._BLOCK_ELEMENTS // n)  # query rows per block
+    for start in range(0, n, step):
+        block = matrix.values[start : start + step]
+        queries = np.arange(start, start + len(block))
+        # one sort ranks every row; a row without two equal values has a single
+        # ascending order, and a row with ties is ranked by (distance, id)
+        order = np.argsort(block, axis=1)
+        ranked = np.take_along_axis(block, order, axis=1)
+        for r in np.flatnonzero((ranked[:, 1:] == ranked[:, :-1]).any(axis=1)).tolist():
+            order[r] = _ranked(block[r], id_rank)
+        order = order[order != queries[:, None]].reshape(len(block), n - 1)
+        hit_ranks = np.nonzero(codes[order] == codes[queries, None])[1] + 1
+        end = 0
+        for qi, rel in zip(queries.tolist(), relevant[queries].tolist()):
+            precisions = np.arange(1, rel + 1) / hit_ranks[end : end + rel]
+            end += rel
+            # interpolate: best precision at recall >= level
+            precisions = np.maximum.accumulate(precisions[::-1])[::-1]
+            # smallest t with t/rel >= i/grid, in exact integer math
+            at_levels[qi] = precisions[-((-levels * rel) // grid) - 1]
     # average in sorted-id order, adding strictly left to right, so
     # database order cannot even shift rounding
     totals = np.cumsum(at_levels[np.argsort(id_rank)], axis=0)[-1]
@@ -483,13 +494,14 @@ def serialize_matrix(matrix: DistanceMatrix) -> str:
     """Matrix CSV: the ids, then one row per model, each cell as ``repr`` writes it.
 
     A row whose cells :func:`_plain_floats` all covers is written by
-    ``orjson.dumps``; any other row is joined from ``repr``.
+    orjson's numpy writer; any other row is joined from ``repr``.
     """
-    values = matrix.values
+    values = np.ascontiguousarray(matrix.values)  # orjson writes C-ordered rows only
     plain = _plain_floats(values).all(axis=1)
     lines = [",".join(matrix.ids)]
-    for row, fast in zip(values.tolist(), plain.tolist()):
-        lines.append(orjson.dumps(row)[1:-1].decode() if fast else ",".join(map(repr, row)))
+    for row, fast in zip(values, plain.tolist()):
+        lines.append(orjson.dumps(row, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode()
+                     if fast else ",".join(map(repr, row.tolist())))
     return "\n".join(lines) + "\n"
 
 

@@ -377,6 +377,22 @@ def test_total_multiplicity_is_exact_and_merges_never_wrap():
         PersistenceDiagram.from_pairs([(0, 1, big), (0, 1, big)])
 
 
+def test_merge_overflow_names_the_row_where_its_total_reaches_the_limit():
+    big, message = 2**62, "a merged multiplicity does not fit a 64-bit integer"
+    with pytest.raises(ValueError, match=f"^line 3: {message}$"):
+        parse_diagram(f"# c\n0,1,{big}\n0,1,{big}\n")
+    # (0, 1) and (-0.0, 1) reach 2**63 on line 7, past a blank and an
+    # essential row; (0, 2) stops at 2**63 - 3
+    text = f"0,2,5\n0,1,{big}\n\n0,2,{2**63 - 8}\n0,inf,3\n0,1,{big - 1}\n-0.0,1,1\n"
+    with pytest.raises(ValueError, match=f"^line 7: {message}$"):
+        parse_diagram(text)
+    # the first such row in input order, not in (birth, death) order
+    with pytest.raises(ValueError, match=f"^line 3: {message}$"):
+        parse_diagram(f"0,1,{big}\n5,6,{big}\n5,6,{big}\n0,1,{big}\n")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        PersistenceDiagram.from_pairs([(5, 6, big), (0, 1, big), (5, 6, big)])
+
+
 def test_columns_are_read_only_and_survive_pickling():
     d = PersistenceDiagram.from_pairs([(0, 1, 2), (-0.0, 2)], essential_count=3)
     assert d.births.dtype == d.deaths.dtype == np.float64

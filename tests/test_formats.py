@@ -283,6 +283,21 @@ def test_serialize_matrix_is_byte_identical_to_repr(data):
     assert serialize_matrix(matrix) == "\n".join([",".join(matrix.ids), *rows]) + "\n"
 
 
+def test_serialize_matrix_writes_any_memory_layout():
+    # DistanceMatrix keeps the layout np.asarray gives it; orjson's numpy
+    # writer takes C-ordered rows only
+    upper = np.triu(np.random.default_rng(7).uniform(0.1, 2.0, (5, 5)), 1)
+    values = upper + upper.T
+    values[1, 3] = values[3, 1] = 1e-5  # rows 1 and 3 are written with repr
+    rows = [",".join(map(repr, row)) for row in values.tolist()]
+    ids = tuple(f"m{i}" for i in range(5))
+    want = "\n".join([",".join(ids), *rows]) + "\n"
+    for layout in (np.asfortranarray(values), values.copy().T):
+        matrix = DistanceMatrix(ids, layout)
+        assert not matrix.values.flags.c_contiguous
+        assert serialize_matrix(matrix) == want
+
+
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
 @given(st.data())
 def test_serialize_diagram_is_byte_identical_to_repr(data):

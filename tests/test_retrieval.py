@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import persvec.coefficients as coefficients
 import persvec.retrieval as retrieval
 from persvec.coefficients import (
     CoefficientVector,
@@ -400,23 +401,91 @@ def sort_based_pr(matrix, labels):
     return PRTable(tuple(rows))
 
 
-def test_pr_curve_matches_sort_based_protocol():
-    # Three distances (zero in both signs) make ties everywhere; ids run
-    # past m9, so string order (m10 < m9) differs from numeric order.
+def pr_case(rng, sizes, cell):
+    """A matrix with ``cell(i, j)`` above the diagonal over shuffled ids
+    m0, m1, ... (past m9 string order differs from numeric order), and
+    labels for classes of ``sizes``."""
+    n = sum(sizes)
+    ids = [f"m{i}" for i in range(n)]
+    rng.shuffle(ids)
+    classes = [f"k{c}" for c, size in enumerate(sizes) for _ in range(size)]
+    values = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            values[i, j] = values[j, i] = cell(i, j)
+    return DistanceMatrix(tuple(ids), values), dict(zip(ids, classes))
+
+
+def with_ties(rng, matrix):
+    """``matrix`` with a few cells copied from others in their row, and one
+    off-diagonal zero that ties with its rows' diagonal; other rows stay tie-free."""
+    values, n = matrix.values.copy(), len(matrix.ids)
+    for _ in range(rng.randint(1, 3)):
+        i, j, k = rng.sample(range(n), 3)
+        values[i, j] = values[j, i] = values[i, k]
+    i, j = rng.sample(range(n), 2)
+    values[i, j] = values[j, i] = rng.choice((0.0, -0.0))
+    return DistanceMatrix(matrix.ids, values)
+
+
+def tied_rows(matrix):
+    ranked = np.sort(matrix.values, axis=1)
+    return int((ranked[:, 1:] == ranked[:, :-1]).any(axis=1).sum())
+
+
+def test_pr_curve_matches_sort_based_protocol(monkeypatch):
     rng = random.Random(59)
+    ranked = []
+    real_ranked = retrieval._ranked
+
+    def counted(distances, id_rank):
+        ranked.append(len(distances))
+        return real_ranked(distances, id_rank)
+
+    monkeypatch.setattr(retrieval, "_ranked", counted)
+
+    def check(matrix, labels):
+        ranked.clear()
+        assert pr_curve(matrix, labels) == sort_based_pr(matrix, labels)
+        assert len(ranked) == tied_rows(matrix)  # only rows with ties take the lexsort
+
     for _ in range(25):
         sizes = [rng.randint(2, 7) for _ in range(rng.randint(2, 5))]
-        n = sum(sizes)
-        ids = [f"m{i}" for i in range(n)]
-        rng.shuffle(ids)
-        classes = [f"k{c}" for c, size in enumerate(sizes) for _ in range(size)]
-        labels = dict(zip(ids, classes))
-        values = np.zeros((n, n))
-        for i in range(n):
-            for j in range(i + 1, n):
-                values[i, j] = values[j, i] = rng.choice((0.0, -0.0, 0.5, 1.0))
-        matrix = DistanceMatrix(tuple(ids), values)
-        assert pr_curve(matrix, labels) == sort_based_pr(matrix, labels)
+        # three distances (zero in both signs) make ties everywhere
+        check(*pr_case(rng, sizes, lambda i, j: rng.choice((0.0, -0.0, 0.5, 1.0))))
+        # distinct distances: every row has one ascending order
+        matrix, labels = pr_case(rng, sizes, lambda i, j: rng.uniform(0.1, 2.0))
+        assert tied_rows(matrix) == 0
+        check(matrix, labels)
+        # tied rows next to tie-free ones
+        mixed = with_ties(rng, matrix)
+        assert 0 < tied_rows(mixed) < len(mixed.ids)
+        check(mixed, labels)
+    # query rows in blocks of one to three, the last block ragged
+    matrix, labels = pr_case(rng, [2, 3, 40, 31, 75], lambda i, j: rng.uniform(0.1, 2.0))
+    matrix = with_ties(rng, matrix)
+    n = len(matrix.ids)
+    for budget in (n - 1, 2 * n, 3 * n + 2):
+        monkeypatch.setattr(coefficients, "_BLOCK_ELEMENTS", budget)
+        check(matrix, labels)
+
+
+def test_pr_curve_memory_peak():
+    # the rows are ranked in blocks of at most _BLOCK_ELEMENTS cells, so the
+    # sort's temporaries never grow to several N x N arrays (8 MB each here)
+    rng = np.random.default_rng(1000)
+    upper = np.triu(rng.uniform(0.1, 2.0, (1000, 1000)), 1)
+    ids = tuple(f"m{i}" for i in range(1000))
+    matrix = DistanceMatrix(ids, upper + upper.T)
+    labels = {mid: f"k{i % 20}" for i, mid in enumerate(ids)}
+    tracemalloc.start()
+    try:
+        table = pr_curve(matrix, labels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(table.rows) == 49
+    assert peak < 4 * 2**20, peak
 
 
 def test_pr_curve_errors():
