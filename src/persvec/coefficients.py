@@ -28,7 +28,7 @@ from typing import Iterable
 import numpy as np
 
 from .diagram import _merged
-from .transforms import ComplexRootList, _finite_roots, transform_columns, transform_diagram
+from .transforms import ComplexRootList, _finite_roots, _roots, transform_diagram
 
 
 @dataclass(frozen=True)
@@ -186,12 +186,13 @@ def _blocks(sizes: list[int]):
 def embed_diagrams(diagrams, kind: str, width: int, count: int | None = None) -> list[CoefficientVector]:
     """``[embed_diagram(d, kind, width, count) for d in diagrams]`` in one array pass.
 
-    The vectors are the per-diagram calls'.  All points are transformed
-    at once, one lexsort by (diagram, real, imag) orders and merges the
-    roots as :class:`ComplexRootList` does, and the kernel runs on blocks
-    of diagrams of similar root counts, zero-padded at the row end.  A
-    pass that fails anywhere is redone diagram by diagram, so the error
-    raised is the one the per-diagram calls raise first.
+    The vectors are the per-diagram calls'.  Each diagram's points go
+    through the scalar map in turn, one lexsort by (diagram, real, imag)
+    orders and merges all the roots as :class:`ComplexRootList` does, and
+    the kernel runs on blocks of diagrams of similar root counts,
+    zero-padded at the row end.  A pass that fails anywhere is redone
+    diagram by diagram, so the error raised is the one the per-diagram
+    calls raise first.
     """
     diagrams = list(diagrams)
     try:
@@ -209,10 +210,10 @@ def _embed_pass(diagrams: list, kind: str, width: int, count: int | None) -> lis
     count = _check_count(count, width)
     _check_width(max(d.total_multiplicity() for d in diagrams), width)
     owner = np.repeat(np.arange(len(diagrams)), [len(d) for d in diagrams])
-    u, v = (np.concatenate([getattr(d, c) for d in diagrams]) for c in ("births", "deaths"))
-    re, im = transform_columns(kind, u, v)
+    # diagram by diagram: one .tolist() of every point at once costs more memory
+    z = np.concatenate([_roots(kind, d.births, d.deaths) for d in diagrams])
     m = np.concatenate([d.multiplicities for d in diagrams])
-    rows, re, im, m = _merged((owner, re, im), m)
+    rows, re, im, m = _merged((owner, z.real, z.imag), m)
     nonzero = (re != 0) | (im != 0)
     rows, re, im = (np.repeat(c[nonzero], m[nonzero]) for c in (rows, re, im))
     sizes = np.bincount(rows, minlength=len(diagrams))
@@ -226,5 +227,6 @@ def _embed_pass(diagrams: list, kind: str, width: int, count: int | None) -> lis
         inside = offsets < sizes[block, None]
         at = np.where(inside, starts[block, None] + offsets, 0)
         coeffs[block] = _prefix_esp(np.where(inside, re[at], 0.0), np.where(inside, im[at], 0.0), count)
-    # CoefficientVector rejects the non-finite values a point with no root or an overflow leaves
+    # a point with no root raised in the map; CoefficientVector rejects the
+    # non-finite values an overflow leaves.  Either way the replay names the error
     return [CoefficientVector(tuple(row), width) for row in coeffs.tolist()]

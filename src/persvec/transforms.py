@@ -15,8 +15,9 @@ tokens used by the CLI and the index file format:
 ``S`` and ``T`` both vanish on the diagonal, which makes the resulting
 coefficient vectors stable against low-persistence noise; ``R`` does not.
 
-The scalar maps are the reference; :func:`transform_columns` maps whole
-columns of points with the same float operations, bit for bit.
+The scalar maps are the one implementation: :func:`transform_diagram`
+and the database pass in :mod:`persvec.coefficients` call them once per
+point, so every root is the scalar map's float.
 """
 
 from __future__ import annotations
@@ -116,10 +117,6 @@ def _check_point(u: float, v: float) -> None:
         raise ValueError(f"point ({u}, {v}) lies below the diagonal")
 
 
-def _no_root(u: float, v: float, kind: str) -> ValueError:
-    return ValueError(f"point ({u}, {v}) lies too far from the origin for a finite {kind} root")
-
-
 def embed_raw(u: float, v: float) -> complex:
     """Identity embedding: (u, v) becomes u + iv."""
     _check_point(u, v)
@@ -164,7 +161,7 @@ def embed_winding(u: float, v: float) -> complex:
         z = complex(half_gap * (c - s), half_gap * (c + s))
         if math.isfinite(z.real) and math.isfinite(z.imag):
             return z
-    raise _no_root(u, v, "T")
+    raise ValueError(f"point ({u}, {v}) lies too far from the origin for a finite T root")
 
 
 TRANSFORMS: dict[str, Callable[[float, float], complex]] = {
@@ -187,38 +184,9 @@ def transform_point(kind: str, u: float, v: float) -> complex:
     return get_transform(kind)(u, v)
 
 
-def _map(fn, *columns: np.ndarray) -> np.ndarray:
-    # math, not numpy: np.hypot, for one, differs from math.hypot in the
-    # last bit on some inputs, and the roots must be the scalar maps' floats
-    return np.fromiter(map(fn, *columns), float, len(columns[0]))
-
-
-def transform_columns(kind: str, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Real and imaginary parts of the ``kind`` roots of the points (u, v).
-
-    Valid points (finite, u <= v) only.  Every root equals, bit for bit,
-    the one the scalar map in ``TRANSFORMS`` returns: the same operations
-    run in the same order, elementwise.  A point the scalar map rejects
-    (a T point too far out) gets a non-finite root.
-    """
-    get_transform(kind)
-    if kind == "R":
-        return u, v
-    alpha = _map(math.hypot, u, v)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        if kind == "S":
-            gap, denom = v - u, alpha * _SQRT2
-            far = np.isinf(gap) | np.isinf(denom)
-            uf, vf = u[far] / 4, v[far] / 4
-            gap[far], denom[far] = vf - uf, _map(math.hypot, uf, vf) * _SQRT2
-            scale = gap / denom
-            re, im = scale * u, scale * v
-            re[alpha == 0.0] = im[alpha == 0.0] = 0.0
-            return re, im
-        alpha[np.isinf(alpha)] = np.nan  # math.cos(inf) raises, cos(nan) is nan
-        half_gap = (v - u) / 2.0
-        c, s = _map(math.cos, alpha), _map(math.sin, alpha)
-        return half_gap * (c - s), half_gap * (c + s)
+def _roots(kind: str, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The complex ``kind`` roots of the points (u, v), one scalar-map call each, in order."""
+    return np.fromiter(map(get_transform(kind), u.tolist(), v.tolist()), complex, len(u))
 
 
 def transform_diagram(diagram, kind: str) -> ComplexRootList:
@@ -226,12 +194,8 @@ def transform_diagram(diagram, kind: str) -> ComplexRootList:
 
     Distinct points that land on exactly the same complex value merge,
     so the list's width never exceeds (and normally equals) the
-    diagram's total multiplicity.
+    diagram's total multiplicity.  A point with no root raises the
+    map's ValueError, at the first such point in (birth, death) order.
     """
-    u, v = diagram.births, diagram.deaths
-    re, im = transform_columns(kind, u, v)
-    finite = np.isfinite(re) & np.isfinite(im)
-    if not finite.all():
-        i = np.argmin(finite)
-        raise _no_root(u[i], v[i], kind)
-    return ComplexRootList._from_columns(re, im, diagram.multiplicities)
+    z = _roots(kind, diagram.births, diagram.deaths)
+    return ComplexRootList._from_columns(z.real, z.imag, diagram.multiplicities)

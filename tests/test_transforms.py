@@ -2,9 +2,9 @@ import math
 import random
 
 import mpmath
-import numpy as np
 import pytest
 
+from persvec.coefficients import embed_diagrams
 from persvec.diagram import PersistenceDiagram
 from persvec.transforms import (
     TRANSFORMS,
@@ -14,7 +14,6 @@ from persvec.transforms import (
     embed_raw,
     embed_winding,
     get_transform,
-    transform_columns,
     transform_diagram,
     transform_point,
 )
@@ -152,26 +151,22 @@ GRID = [-1.7e308, -1e308, -1e300, -1.5, -1.0, -0.0, 0.0, 5e-324, 1e-300, 0.5, 1.
         2.0, 1e300, 1e308, 1.5e308, 1.7e308]
 
 
-def test_column_transforms_equal_the_scalar_maps_cell_by_cell():
-    # math.hypot, math.cos and math.sin go through map in the column
-    # transforms, and numpy does only + - * /, because np.hypot is not
-    # math.hypot: it differs in the last bit on some pairs (12 of the 2000
-    # random pairs below on an x86-64 host with numpy 2.4), which would
-    # change the roots and so the index bytes.
+def test_scalar_maps_give_a_finite_root_or_name_the_far_point():
+    # every root in the package comes from these maps, point by point, and the
+    # database pass relies on them raising nothing but T's far-point error
     pairs = [(u, v) for u in GRID for v in GRID if u <= v]
     pairs += [(x, math.nextafter(x, math.inf)) for x in GRID]  # next to the diagonal
     rng = random.Random(8)
     pairs += [(u, u + rng.uniform(0, 4)) for u in (rng.uniform(-3, 3) for _ in range(2000))]
-    u, v = (np.array(c) for c in zip(*pairs))
     for kind, scalar in TRANSFORMS.items():
-        re, im = transform_columns(kind, u, v)
-        for i, (a, b) in enumerate(pairs):
+        for u, v in pairs:
             try:
-                z = scalar(a, b)
-            except ValueError:  # no finite root: the column holds a non-finite one
-                assert not (math.isfinite(re[i]) and math.isfinite(im[i])), (kind, a, b)
+                z = scalar(u, v)
+            except ValueError as e:
+                assert kind == "T", (kind, u, v)
+                assert str(e) == f"point ({u}, {v}) lies too far from the origin for a finite T root"
                 continue
-            assert (re[i].hex(), im[i].hex()) == (z.real.hex(), z.imag.hex()), (kind, a, b)
+            assert type(z) is complex and math.isfinite(z.real) and math.isfinite(z.imag), (kind, u, v)
 
 
 @pytest.mark.parametrize("u, v", [
@@ -194,6 +189,13 @@ def test_winding_rejects_a_far_point_naming_it():
         message = f"point ({u}, {v}) lies too far from the origin for a finite T root"
         with pytest.raises(ValueError) as scalar:
             embed_winding(u, v)
-        with pytest.raises(ValueError) as columns:
+        with pytest.raises(ValueError) as mapped:
             transform_diagram(PersistenceDiagram.from_pairs([(0, 1), (u, v)]), "T")
-        assert str(scalar.value) == str(columns.value) == message
+        assert str(scalar.value) == str(mapped.value) == message
+    # two far points: both paths name the first in (birth, death) order
+    d = PersistenceDiagram.from_pairs([(1e308, 1.5e308), (0, 1), (-1e308, 1e308)])
+    message = "point (-1e+308, 1e+308) lies too far from the origin for a finite T root"
+    for call in (lambda: transform_diagram(d, "T"), lambda: embed_diagrams([d], "T", 3)):
+        with pytest.raises(ValueError) as far:
+            call()
+        assert str(far.value) == message
