@@ -8,15 +8,15 @@ of them, by default floor(sqrt(M)).
 Root lists of different sizes are compared by zero-padding the shorter
 one up to a common width M before taking coefficients.  Zeros leave
 every e_j unchanged (a product containing 0 is 0), so padding never
-alters the values, only the nominal degree.  The padding zeros are
-therefore never built, and the computation skips zero roots outright.
+alters the values, only the nominal degree.  Padding up to ``width`` is
+therefore never built.
 
 Cost model: one kernel, :func:`_prefix_esp`, computes every vector.  It
-loops over j = 1 .. count and, per j, does numpy work over the nonzero
-roots of a block of diagrams, so a database costs about count array
-passes over its roots and no per-root interpreter work.  Its values are
-bit for bit those of the scalar loop ``e_j += z * e_{j-1}``, which the
-tests keep as the oracle.
+loops over j = 1 .. count and, per j, does numpy work over one block of
+diagrams at a time, so a database costs about count array passes over
+its roots, one scalar map call per point and the memory of one block.
+Its values are bit for bit those of the scalar loop ``e_j += z * e_{j-1}``,
+which the tests keep as the oracle.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from typing import Iterable
 
 import numpy as np
 
-from .diagram import _merged
 from .transforms import ComplexRootList, _finite_roots, _roots, transform_diagram
 
 
@@ -102,9 +101,10 @@ def _prefix_esp(re: np.ndarray, im: np.ndarray, count: int) -> np.ndarray:
     its first s-1: one cumsum per part per j, started from +0.0.  The
     product is written out as CPython's complex product, and cumsum adds
     in sequence, so each value is bit for bit the scalar loop's over the
-    row in order.  Zero roots padded at a row's end change no bit: they
-    add +-0.0 to sums that start at +0.0 and so are never -0.0.
-    Overflow leaves non-finite values.
+    row in order.  A term of +-0.0 changes no bit of a sum started at
+    +0.0, which is never -0.0; so zero roots anywhere in a row (padding
+    too) and the signs of zero parts of any root change no bit either.
+    Overflow leaves non-finite values, which stay non-finite.
     """
     rows, width = re.shape
     out = np.zeros((rows, count), dtype=complex)
@@ -186,13 +186,13 @@ def _blocks(sizes: list[int]):
 def embed_diagrams(diagrams, kind: str, width: int, count: int | None = None) -> list[CoefficientVector]:
     """``[embed_diagram(d, kind, width, count) for d in diagrams]`` in one array pass.
 
-    The vectors are the per-diagram calls'.  Each diagram's points go
-    through the scalar map in turn, one lexsort by (diagram, real, imag)
-    orders and merges all the roots as :class:`ComplexRootList` does, and
-    the kernel runs on blocks of diagrams of similar root counts,
-    zero-padded at the row end.  A pass that fails anywhere is redone
-    diagram by diagram, so the error raised is the one the per-diagram
-    calls raise first.
+    The vectors are the per-diagram calls'.  One block of diagrams of
+    similar size at a time goes through the kernel, one row per diagram:
+    its roots from the scalar map, sorted by (real, imag) as in
+    :class:`ComplexRootList` but neither merged nor rid of zeros (see
+    :func:`_prefix_esp`), and zero-padded at the row end.  A pass that
+    fails anywhere is redone diagram by diagram, so the error raised is
+    the one the per-diagram calls raise first.
     """
     diagrams = list(diagrams)
     try:
@@ -204,29 +204,20 @@ def embed_diagrams(diagrams, kind: str, width: int, count: int | None = None) ->
 
 
 def _embed_pass(diagrams: list, kind: str, width: int, count: int | None) -> list[CoefficientVector]:
-    if not diagrams:
-        return []
     width = _positive_width(width)
     count = _check_count(count, width)
-    _check_width(max(d.total_multiplicity() for d in diagrams), width)
-    owner = np.repeat(np.arange(len(diagrams)), [len(d) for d in diagrams])
-    # diagram by diagram: one .tolist() of every point at once costs more memory
-    z = np.concatenate([_roots(kind, d.births, d.deaths) for d in diagrams])
-    m = np.concatenate([d.multiplicities for d in diagrams])
-    rows, re, im, m = _merged((owner, z.real, z.imag), m)
-    nonzero = (re != 0) | (im != 0)
-    rows, re, im = (np.repeat(c[nonzero], m[nonzero]) for c in (rows, re, im))
-    sizes = np.bincount(rows, minlength=len(diagrams))
-    starts = np.cumsum(sizes) - sizes
+    sizes = [d.total_multiplicity() for d in diagrams]
+    _check_width(max(sizes, default=0), width)
     order = np.argsort(sizes, kind="stable")
-    order = order[sizes[order] > 0]
     coeffs = np.zeros((len(diagrams), count), dtype=complex)
-    for i, j in _blocks(sizes[order].tolist()):
-        block = order[i:j]
-        offsets = np.arange(sizes[block[-1]])
-        inside = offsets < sizes[block, None]
-        at = np.where(inside, starts[block, None] + offsets, 0)
-        coeffs[block] = _prefix_esp(np.where(inside, re[at], 0.0), np.where(inside, im[at], 0.0), count)
-    # a point with no root raised in the map; CoefficientVector rejects the
-    # non-finite values an overflow leaves.  Either way the replay names the error
+    for i, j in _blocks([sizes[k] for k in order]):
+        block = np.zeros((j - i, sizes[order[j - 1]]), dtype=complex)
+        for row, k in zip(block, order[i:j]):
+            d = diagrams[k]
+            z = _roots(kind, d.births, d.deaths)
+            o = np.lexsort((z.imag, z.real))  # ComplexRootList's order, equal roots unmerged
+            row[: sizes[k]] = np.repeat(z[o], d.multiplicities[o])
+        coeffs[order[i:j]] = _prefix_esp(block.real, block.imag, count)
+    # the map raises for a point with no root, CoefficientVector for an overflow's
+    # non-finite values, in size order; the replay names the first in input order
     return [CoefficientVector(tuple(row), width) for row in coeffs.tolist()]

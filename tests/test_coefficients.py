@@ -2,6 +2,7 @@ import cmath
 import itertools
 import math
 import random
+import tracemalloc
 
 from unittest import mock
 
@@ -305,7 +306,7 @@ def test_root_list_merges_as_a_dict_and_embeds_as_the_loop(pairs, count):
     assert outcome(embed_roots, roots, width, count) == outcome(scalar_esp, expanded, count)
 
 
-COORDS = [-2.0, -0.0, 0.0, 1e-300, 0.25, 0.5, 1.0, 3.0, 1e150]
+COORDS = [-2.0, -1e-310, -0.0, 0.0, 1e-300, 0.25, 0.5, 1.0, 3.0, 1e150]
 
 
 @st.composite
@@ -317,7 +318,7 @@ def diagram_lists(draw):
         pts = []
         for _ in range(draw(st.integers(0, 12))):
             u = draw(st.sampled_from(COORDS))
-            v = u + draw(st.sampled_from([1e-9, 0.25, 1.0, 2.0, 1e100]))
+            v = u + draw(st.sampled_from([5e-324, 1e-9, 0.25, 1.0, 2.0, 1e100]))
             if v > u:  # 1e150 + 1e-9 rounds back to 1e150
                 pts.append((u, v, draw(st.integers(1, 3))))
         if draw(st.integers(0, 9)) == 0:
@@ -370,6 +371,31 @@ def test_database_pass_edge_cases():
         embed_diagrams([PersistenceDiagram.from_pairs([(0, 1, 2)])], "R", 1)
     with pytest.raises(ValueError, match="count"):
         embed_diagrams([single], "R", 1, 2)
+    # zero roots, +-0 parts and equal roots stay unmerged in the pass's rows and
+    # change no bit; (-2, 0) and (0, 2) have one T root
+    tiny = PersistenceDiagram.from_pairs(
+        [(0.0, 5e-324), (-1e-310, -1e-310 + 5e-324), (-0.0, 0.25), (-2.0, 0.0), (0.0, 2.0)])
+    database = [tiny, single, tiny]
+    for kind in "RST":
+        assert [bits(v.coefficients) for v in embed_diagrams(database, kind, 5, 5)] == [
+            bits(embed_diagram(d, kind, 5, 5).coefficients) for d in database]
+
+
+def test_database_pass_holds_one_block_at_a_time():
+    """300 diagrams of 600 points span several kernel blocks; the pass's peak stays
+    within a few block-sized arrays, where one complex array of all 180,000 roots
+    would alone take 2.9 MB."""
+    rng = np.random.default_rng(0)
+    births = [rng.uniform(0, 1, 600) for _ in range(300)]
+    diagrams = [PersistenceDiagram(b, b + rng.uniform(0, 1, 600)) for b in births]
+    assert len(list(coefficients._blocks([600] * 300))) >= 3
+    tracemalloc.start()
+    try:
+        embed_diagrams(diagrams, "T", 600)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 16 * coefficients._BLOCK_ELEMENTS  # six complex arrays of one block
 
 
 FAR = (1e308, 1.5e308)  # hypot overflows: no finite T root
