@@ -135,7 +135,7 @@ class PersistenceDiagram:
     at different float values stay distinct, no tolerance is involved.
     """
 
-    __slots__ = ("births", "deaths", "multiplicities", "essential_count")
+    __slots__ = ("births", "deaths", "multiplicities", "essential_count", "_columns")
 
     def __init__(self, births=(), deaths=(), multiplicities=None, essential_count: int = 0) -> None:
         if not (essential := _exact_multiplicity(essential_count)) and essential_count != 0:
@@ -160,6 +160,18 @@ class PersistenceDiagram:
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError("PersistenceDiagram is immutable")
+
+    def _expanded(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only u, v (the points repeated by multiplicity, in (birth, death) order)
+        and half-gaps (v - u) / 2, built on first use in a slot that pickling leaves out."""
+        if not hasattr(self, "_columns"):
+            u, v = np.repeat(self.births, self.multiplicities), np.repeat(self.deaths, self.multiplicities)
+            with np.errstate(over="ignore"):  # an overflow gives inf, as in point_distance
+                columns = (u, v, (v - u) / 2.0)
+            for column in columns:
+                column.flags.writeable = False
+            object.__setattr__(self, "_columns", columns)
+        return self._columns
 
     def _rows(self) -> list[tuple[float, float, int]]:
         return list(zip(self.births.tolist(), self.deaths.tolist(), self.multiplicities.tolist()))

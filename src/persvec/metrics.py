@@ -92,38 +92,23 @@ def point_distance(p: tuple[float, float], q: tuple[float, float]) -> float:
 
 
 @np.errstate(over="ignore")  # an overflow gives inf, as in point_distance: no warning
-def _cross_costs(a: PersistenceDiagram, b: PersistenceDiagram):
-    """Point-to-point matching costs and the half-gap of every point.
-
-    Returns the (m, n) block of costs between the m points of ``a`` and
-    the n points of ``b`` (each repeated by its multiplicity) and the two
-    half-gap vectors, the costs of destroying each point into the
-    diagonal.  Cells follow :func:`point_distance` operation for
-    operation, so each holds the same float; the points were validated
-    when they were built.
-    """
-    ua, va = np.repeat(a.births, a.multiplicities), np.repeat(a.deaths, a.multiplicities)
-    ub, vb = np.repeat(b.births, b.multiplicities), np.repeat(b.deaths, b.multiplicities)
-    half_a = (va - ua) / 2.0
-    half_b = (vb - ub) / 2.0
-    move = np.maximum(np.abs(ua[:, None] - ub[None, :]), np.abs(va[:, None] - vb[None, :]))
-    return np.minimum(move, np.maximum(half_a[:, None], half_b[None, :])), half_a, half_b
-
-
 def _cost_matrix(a: PersistenceDiagram, b: PersistenceDiagram) -> np.ndarray:
     """Square matching-cost matrix with diagonal stand-ins.
 
-    Rows are the m points of ``a`` followed by n stand-ins, columns the
-    n points of ``b`` followed by m stand-ins.  A point matched to a
+    Rows are the m points of ``a`` (repeated by multiplicity) followed by
+    n stand-ins, columns the n points of ``b`` followed by m stand-ins.
+    Point-to-point cells follow :func:`point_distance` operation for
+    operation, so each holds the same float.  A point matched to a
     stand-in is destroyed at half its gap; two stand-ins pair for free,
     so unequal point counts never block a perfect matching.  The
     reference form of the problem :func:`bottleneck_distance` solves on
-    the (m, n) block alone; :func:`bottleneck_bruteforce` searches it.
+    the (m, n) move block alone; :func:`bottleneck_bruteforce` searches it.
     """
-    cross, half_a, half_b = _cross_costs(a, b)
-    m, n = cross.shape
+    (ua, va, half_a), (ub, vb, half_b) = a._expanded(), b._expanded()
+    m, n = len(ua), len(ub)
     cost = np.zeros((m + n, m + n), dtype=float)
-    cost[:m, :n] = cross
+    move = np.maximum(np.abs(ua[:, None] - ub[None, :]), np.abs(va[:, None] - vb[None, :]))
+    cost[:m, :n] = np.minimum(move, np.maximum(half_a[:, None], half_b[None, :]))
     cost[:m, n:] = half_a[:, None]
     cost[m:, :n] = half_b[None, :]
     return cost
@@ -185,25 +170,24 @@ def _row_cover(adj: np.ndarray):
     return np.fromiter(row_col, np.intp, m)
 
 
-def _feasible(cross: np.ndarray, half_a: np.ndarray, half_b: np.ndarray, t: float) -> bool:
+def _feasible(move: np.ndarray, half_a: np.ndarray, half_b: np.ndarray, t: float) -> bool:
     """Whether a perfect matching of the stand-in graph uses only costs <= t.
 
     A point whose half-gap is at most t (small) can always go to a
     stand-in, and leftover stand-ins pair off at cost 0, so only the big
-    points need a partner in the cross graph ``cross <= t``.  Probes run
-    at t >= L (see :func:`bottleneck_distance`), and L is at least each
-    point's smaller of its cheapest cross cost and its half-gap, so every
-    big point has an edge and only a matching can fail.  A matching that
-    covers every big point of ``a`` and one that covers every big point
-    of ``b`` give one matching that covers both (Mendelsohn-Dulmage), so
-    each side is tested on its own, the second only when the first
-    misses a big point of ``b``.
+    points need a partner.  A big point's cross cost is the smaller of the
+    sup-norm move and a half-gap above t, so its edges are the cells of
+    ``move <= t`` in its row or column (Efrat, Itai & Katz 2001).  Probes
+    run at t >= L (see :func:`bottleneck_distance`), so every big point
+    has an edge and only a matching can fail.  Matchings that cover every
+    big point of ``a`` and every one of ``b`` give one that covers both
+    (Mendelsohn-Dulmage), so each side is tested on its own, the second
+    only when the first misses a big point of ``b``.
     """
-    adj = cross <= t
     big_b = half_b > t
-    used = _row_cover(adj[half_a > t])  # distinct columns, so a count shows all of big_b
+    used = _row_cover(move[half_a > t] <= t)  # distinct columns, so a count shows all of big_b
     return used is not None and (np.count_nonzero(big_b[used]) == np.count_nonzero(big_b)
-                                 or _row_cover(adj[:, big_b].T) is not None)
+                                 or _row_cover((move[:, big_b] <= t).T) is not None)
 
 
 def bottleneck_distance(a: PersistenceDiagram, b: PersistenceDiagram) -> float:
@@ -213,30 +197,34 @@ def bottleneck_distance(a: PersistenceDiagram, b: PersistenceDiagram) -> float:
     :func:`_cost_matrix`: the optimum is always one of its costs, and
     feasibility (a perfect matching using only costs <= t) only gets
     easier as t grows, so the smallest feasible cost is the exact answer.
-    That matrix is never built: its costs are the (m, n) cross block,
-    the half-gaps and 0, and :func:`_feasible` decides each threshold on
-    the cross block.  The search starts at a lower bound: every row and
-    every column must be matched, so the answer is at least L, the
-    largest row or column minimum.  A point's minimum is the smaller of
-    its cheapest cross cost (none if the other diagram is empty) and its
-    half-gap, a stand-in's is 0, and L is itself a cost.  L is probed
-    first and is the answer if feasible, as it is whenever it is the
-    largest cost (no point is big).  Only when that probe fails are the
-    costs above L sorted, and one exponential search (Bentley & Yao 1976)
-    finds the smallest feasible one: it probes at doubling distances
-    above L until a probe is feasible, then bisects what is left.  An
-    answer at index k of those sorted costs takes at most
-    2 ceil(log2(k + 2)) - 1 probes after L.  Skipping the costs below L drops only infeasible
-    thresholds, so the result is the one a bisection over all costs
-    finds.
+    That matrix is never built: its costs are the (m, n) cross block (each
+    cell the smaller of the sup-norm move and the larger half-gap), the
+    half-gaps and 0.  Each diagram is expanded once
+    (``PersistenceDiagram._expanded``) and each pair builds the move block,
+    on which :func:`_feasible` decides every threshold.  The search starts
+    at a lower bound: every row and every column must be matched, so the
+    answer is at least L, the largest row or column minimum.  A point's
+    minimum is the smaller of its half-gap and its cheapest cross cost
+    (none if the other diagram is empty), the same float with its cheapest
+    move, as a capped cell's larger half-gap is at least the point's own;
+    a stand-in's is 0, and L is itself a cost.  L is probed first and is the answer if
+    feasible, as it is whenever it is the largest cost (no point is big).
+    Only when that probe fails is the cross block built and its costs
+    above L sorted, and one exponential search (Bentley & Yao 1976) finds
+    the smallest feasible one: it probes at doubling distances above L
+    until a probe is feasible, then bisects what is left.  An answer at
+    index k of those sorted costs takes at most 2 ceil(log2(k + 2)) - 1
+    probes after L.  Skipping the costs below L drops only infeasible
+    thresholds, so the result is the one a bisection over all costs finds.
     """
-    cross, half_a, half_b = _cross_costs(a, b)
-    bound = max(
-        np.minimum(cross.min(axis=1, initial=np.inf), half_a).max(initial=0.0),
-        np.minimum(cross.min(axis=0, initial=np.inf), half_b).max(initial=0.0),
-    )
-    if _feasible(cross, half_a, half_b, bound):
+    (ua, va, half_a), (ub, vb, half_b) = a._expanded(), b._expanded()
+    with np.errstate(over="ignore"):  # an overflow gives inf, as in point_distance: no warning
+        move = np.maximum(np.abs(ua[:, None] - ub[None, :]), np.abs(va[:, None] - vb[None, :]))
+    bound = max(np.minimum(move.min(axis=1, initial=np.inf), half_a).max(initial=0.0),
+                np.minimum(move.min(axis=0, initial=np.inf), half_b).max(initial=0.0))
+    if _feasible(move, half_a, half_b, bound):
         return float(bound)
+    cross = np.minimum(move, np.maximum(half_a[:, None], half_b[None, :]))
     costs = np.concatenate((cross.ravel(), half_a, half_b))
     # A sort and a neighbour mask: np.unique would import numpy.ma on first use.
     candidates = np.sort(costs[costs > bound])
@@ -248,7 +236,7 @@ def bottleneck_distance(a: PersistenceDiagram, b: PersistenceDiagram) -> float:
     lo, hi, step = 0, len(candidates) - 1, 1
     while lo < hi:
         mid = min(lo + step - 1, (lo + hi) // 2)
-        if _feasible(cross, half_a, half_b, candidates[mid]):
+        if _feasible(move, half_a, half_b, candidates[mid]):
             hi = mid
         else:
             lo, step = mid + 1, 2 * step

@@ -407,6 +407,26 @@ def test_columns_are_read_only_and_survive_pickling():
     assert not again.births.flags.writeable
 
 
+def test_expanded_columns_are_built_once_read_only_and_left_out_of_pickles():
+    d = PersistenceDiagram.from_pairs([(0, 1, 2), (-0.0, 2)], essential_count=3)
+    before = (hash(d), repr(d), pickle.dumps(d))
+    columns = d._expanded()
+    assert d._expanded() is columns
+    assert [x.tolist() for x in columns] == [[0.0, 0.0, -0.0], [1.0, 1.0, 2.0], [0.5, 0.5, 1.0]]
+    assert math.copysign(1.0, columns[0][2]) == -1.0
+    for column in columns:
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = 5.0
+    assert (hash(d), repr(d), pickle.dumps(d)) == before
+    assert d == PersistenceDiagram.from_pairs([(0, 1, 2), (-0.0, 2)], essential_count=3)
+    # a round trip starts with an empty slot and builds the same columns
+    again = pickle.loads(pickle.dumps(d))
+    assert again == d and hash(again) == hash(d) and repr(again) == repr(d)
+    with pytest.raises(AttributeError):
+        again._columns
+    assert [x.tolist() for x in again._expanded()] == [x.tolist() for x in columns]
+
+
 # Grid values with signed zeros, subnormals, huge magnitudes and many ties.
 GRID = [0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 1.0, -1.0, 0.5, 1e-300]
 

@@ -429,6 +429,40 @@ def test_bottleneck_probes_lower_bound_first(monkeypatch):
     assert min(outcomes.values()) >= 20, outcomes
 
 
+def test_bound_and_probes_from_move_block_match_cost_matrix(monkeypatch):
+    # L and every probe read the sup-norm move block alone.  The stand-in
+    # matrix, capped cross block included, is the reference: L is its
+    # largest row or column minimum, its cross block is the move block
+    # capped at the larger half-gap, and a probe at any candidate from L
+    # up is feasible exactly from the answer plain_bisection finds on it.
+    calls = []
+    feasible = metrics._feasible
+
+    def spy(*args):
+        calls.append(args)
+        return feasible(*args)
+
+    monkeypatch.setattr(metrics, "_feasible", spy)
+
+    def check(pair):
+        a, b = pair
+        calls.clear()
+        bottleneck_distance(a, b)
+        move, half_a, half_b, bound = calls[0]
+        cost = _cost_matrix(a, b)
+        m, n = move.shape
+        assert np.array_equal(np.minimum(move, np.maximum.outer(half_a, half_b)), cost[:m, :n])
+        L = max(cost.min(axis=1).max(), cost.min(axis=0).max()) if cost.size else 0.0
+        assert float(bound).hex() == float(L).hex()
+        candidates, answer = plain_bisection(cost)
+        for k in range(np.searchsorted(candidates, L), len(candidates)):
+            assert feasible(move, half_a, half_b, candidates[k]) == (k >= answer), (k, answer)
+
+    for strategy in (reduced_graph_pairs(), grid_diagram_pairs()):
+        settings(derandomize=True, database=None, max_examples=200, deadline=None)(
+            given(strategy)(check))()
+
+
 def test_search_above_lower_bound_loads_no_numpy_ma():
     """Sorting the candidates above L must not import ``numpy.ma``, as the first
     ``np.unique`` of a process does (about 15 ms).  Here L is 1: the lone point

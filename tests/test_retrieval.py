@@ -265,6 +265,29 @@ def test_distance_matrix_caps_workers_at_cpu_count(monkeypatch):
     assert requested == [2]
 
 
+def test_each_diagram_is_expanded_once_per_process(monkeypatch):
+    # The bottleneck reads each diagram's points, repeated by multiplicity,
+    # from columns built on its first comparison: repeated queries, a
+    # query compared with itself and a matrix row block expand no diagram
+    # twice.
+    db = embed_database(synthetic_database(4, 5, noise_points=10, seed=4), "T")
+    diagrams = [entry.diagram for entry in db.entries]
+    expanded = Counter()
+    repeat = np.repeat
+
+    def spy(values, *args, **kwargs):
+        expanded[id(values)] += 1
+        return repeat(values, *args, **kwargs)
+
+    monkeypatch.setattr(np, "repeat", spy)
+    for qid in db.ids * 2:
+        two_stage_query(qid, db, "T", "d1", 5)
+    assert bottleneck_distance(diagrams[0], diagrams[0]) == 0.0
+    retrieval._upper_rows(diagrams, range(len(diagrams) - 1))
+    assert all(expanded[id(d.births)] == expanded[id(d.deaths)] == 1 for d in diagrams)
+    assert sum(expanded.values()) == 2 * len(diagrams)
+
+
 def test_bottleneck_matrix_memory_peak_per_cell(monkeypatch):
     # The matrix is 16 bytes per upper-triangle cell and its rows 8 more.  A
     # list of pairs or of (i, j, d) cells costs far more per cell.  The distance
