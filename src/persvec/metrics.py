@@ -115,23 +115,23 @@ def _cost_matrix(a: PersistenceDiagram, b: PersistenceDiagram) -> np.ndarray:
 
 
 def _row_cover(adj: np.ndarray):
-    """The columns used by a matching that covers every row of the
-    bipartite graph ``adj`` (rows x columns, boolean), one per row in row
-    order, or None if no matching does.
+    """``(used, None)``, ``used`` the columns of a matching of the bipartite
+    graph ``adj`` (rows x columns, boolean) that covers every row, in row
+    order, or ``(None, (rows, cols))``: ``rows`` reach exactly the fewer ``cols``.
 
     Each row's edges become one Python-int bitset, and rows are matched
     in order.  A row takes its lowest free column; if it has none, a
     breadth-first search over alternating paths from it (Kuhn 1955;
     Hopcroft & Karp 1973) looks for a free column, and the path to the
-    first one found is flipped.  If the search runs dry, the rows it
-    visited have fewer neighbours than rows (each column it reached is
-    matched to one of them), so by Hall's theorem no matching covers
-    every row.  A search visits each row and column at most once, so a
-    cover costs O(m (m + n)) steps on n/64-word integers.
+    first one found is flipped.  If the search runs dry, each column it
+    reached is matched to a row it visited, so those rows have one
+    neighbour fewer than rows.  More rows than columns give all rows.  A
+    search visits each row and column at most once, so a cover costs
+    O(m (m + n)) steps on n/64-word integers.
     """
     m, n = adj.shape
     if m > n:
-        return None
+        return None, (np.arange(m), np.flatnonzero(adj.any(axis=0)))
     packed = np.packbits(adj, axis=1, bitorder="little").tobytes()
     width = (n + 7) // 8
     edges = [int.from_bytes(packed[k * width:(k + 1) * width], "little") for k in range(m)]
@@ -159,7 +159,7 @@ def _row_cover(adj: np.ndarray):
                 if open_:
                     break
             else:
-                return None
+                return None, (np.array(queue), np.fromiter(parent, np.intp, len(parent)))
         col = (open_ & -open_).bit_length() - 1
         free ^= 1 << col
         while True:  # flip the path from row back to start
@@ -167,27 +167,39 @@ def _row_cover(adj: np.ndarray):
             if row == start:
                 break
             row = parent[col]
-    return np.fromiter(row_col, np.intp, m)
+    return np.fromiter(row_col, np.intp, m), None
 
 
-def _feasible(move: np.ndarray, half_a: np.ndarray, half_b: np.ndarray, t: float) -> bool:
-    """Whether a perfect matching of the stand-in graph uses only costs <= t.
+def _feasible(move: np.ndarray, half_a: np.ndarray, half_b: np.ndarray, t: float):
+    """None if a perfect matching of the stand-in graph uses only costs <= t,
+    else a cost t1 > t below which no threshold is feasible.
 
     A point whose half-gap is at most t (small) can always go to a
     stand-in, and leftover stand-ins pair off at cost 0, so only the big
     points need a partner.  A big point's cross cost is the smaller of the
     sup-norm move and a half-gap above t, so its edges are the cells of
     ``move <= t`` in its row or column (Efrat, Itai & Katz 2001).  Probes
-    run at t >= L (see :func:`bottleneck_distance`), so every big point
-    has an edge and only a matching can fail.  Matchings that cover every
-    big point of ``a`` and every one of ``b`` give one that covers both
-    (Mendelsohn-Dulmage), so each side is tested on its own, the second
-    only when the first misses a big point of ``b``.
+    run at t >= L, so every big point has an edge.  Matchings that cover
+    every big point of ``a`` and every one of ``b`` give one that covers
+    both (Mendelsohn-Dulmage), so each side is tested on its own, the
+    second only when the first misses a big point of ``b``.  A side that
+    fails has rows S with fewer neighbours N(S), and t1 is the smallest
+    half-gap in S or move from S to a column outside N(S): for t' in
+    [t, t1) every row of S stays big and N(S) gains no edge, so S still
+    breaks Hall's condition.  t1 is a half-gap, or a move at most its
+    row's half-gap, which is that row's cross cell, so it is a cost.
     """
-    big_b = half_b > t
-    used = _row_cover(move[half_a > t] <= t)  # distinct columns, so a count shows all of big_b
-    return used is not None and (np.count_nonzero(big_b[used]) == np.count_nonzero(big_b)
-                                 or _row_cover((move[:, big_b] <= t).T) is not None)
+    big_a, big_b = half_a > t, half_b > t
+    used, hall = _row_cover(move[big_a] <= t)  # distinct columns, so a count shows all of big_b
+    if hall is None and np.count_nonzero(big_b[used]) < np.count_nonzero(big_b):
+        used, hall = _row_cover((move[:, big_b] <= t).T)
+        move, half_a, big_a = move.T, half_b, big_b
+    if hall is None:
+        return None
+    rows = np.flatnonzero(big_a)[hall[0]]
+    near = move[rows].min(axis=0, initial=np.inf)  # each column's cheapest move from S
+    near[hall[1]] = np.inf
+    return min(half_a[rows].min(), near.min(initial=np.inf))
 
 
 def bottleneck_distance(a: PersistenceDiagram, b: PersistenceDiagram) -> float:
@@ -199,47 +211,46 @@ def bottleneck_distance(a: PersistenceDiagram, b: PersistenceDiagram) -> float:
     easier as t grows, so the smallest feasible cost is the exact answer.
     That matrix is never built: its costs are the (m, n) cross block (each
     cell the smaller of the sup-norm move and the larger half-gap), the
-    half-gaps and 0.  Each diagram is expanded once
-    (``PersistenceDiagram._expanded``) and each pair builds the move block,
-    on which :func:`_feasible` decides every threshold.  The search starts
-    at a lower bound: every row and every column must be matched, so the
-    answer is at least L, the largest row or column minimum.  A point's
-    minimum is the smaller of its half-gap and its cheapest cross cost
-    (none if the other diagram is empty), the same float with its cheapest
-    move, as a capped cell's larger half-gap is at least the point's own;
-    a stand-in's is 0, and L is itself a cost.  L is probed first and is the answer if
-    feasible, as it is whenever it is the largest cost (no point is big).
-    Only when that probe fails is the cross block built and its costs
-    above L sorted, and one exponential search (Bentley & Yao 1976) finds
-    the smallest feasible one: it probes at doubling distances above L
-    until a probe is feasible, then bisects what is left.  An answer at
-    index k of those sorted costs takes at most 2 ceil(log2(k + 2)) - 1
-    probes after L.  Skipping the costs below L drops only infeasible
-    thresholds, so the result is the one a bisection over all costs finds.
+    half-gaps and 0.  Each pair builds the move block from the expanded
+    columns, and :func:`_feasible` decides every threshold on it.  Every
+    row and column must be matched, so the answer is at least L, the
+    largest row or column minimum, a cost read from the move block (a
+    capped cell's larger half-gap is at least the point's own).  L is
+    probed first, then the jump t1 its failure returns (the threshold
+    raising of Derigs & Zimmermann 1978).  Only if both fail is the cross
+    block built and its costs from the second jump up sorted, for one
+    exponential search (Bentley & Yao 1976) that gallops until a probe is
+    feasible, then bisects, and moves ``lo`` to a failed probe's jump when
+    that is further.  It probes no more than that search over every cost
+    above L, so an answer at index k of them takes at most
+    2 ceil(log2(k + 2)) - 1 probes after L.  Only costs with nothing
+    feasible below them are ever skipped.
     """
     (ua, va, half_a), (ub, vb, half_b) = a._expanded(), b._expanded()
     with np.errstate(over="ignore"):  # an overflow gives inf, as in point_distance: no warning
         move = np.maximum(np.abs(ua[:, None] - ub[None, :]), np.abs(va[:, None] - vb[None, :]))
-    bound = max(np.minimum(move.min(axis=1, initial=np.inf), half_a).max(initial=0.0),
-                np.minimum(move.min(axis=0, initial=np.inf), half_b).max(initial=0.0))
-    if _feasible(move, half_a, half_b, bound):
-        return float(bound)
+    t = max(np.minimum(move.min(axis=1, initial=np.inf), half_a).max(initial=0.0),
+            np.minimum(move.min(axis=0, initial=np.inf), half_b).max(initial=0.0))
+    for _ in range(2):  # L, then the first jump, with no cost list
+        jump = _feasible(move, half_a, half_b, t)
+        if jump is None:
+            return float(t)
+        t = jump
     cross = np.minimum(move, np.maximum(half_a[:, None], half_b[None, :]))
     costs = np.concatenate((cross.ravel(), half_a, half_b))
     # A sort and a neighbour mask: np.unique would import numpy.ma on first use.
-    candidates = np.sort(costs[costs > bound])
+    candidates = np.sort(costs[costs >= t])
     candidates = candidates[np.append(True, candidates[1:] != candidates[:-1])]
-    # Nothing below lo is feasible and candidates[hi] is (the largest cost
-    # always is: no point is big).  While probes fail, mid gallops (0, 2,
-    # 6, 14, ...); after the first success the bracket is shorter than
-    # step, so mid is its midpoint.
-    lo, hi, step = 0, len(candidates) - 1, 1
+    # Nothing below lo is feasible and candidates[hi] is (the largest cost always
+    # is); mid gallops (1, 5, 13, ...) until a probe is feasible, then bisects.
+    lo, hi, step = 0, len(candidates) - 1, 2
     while lo < hi:
         mid = min(lo + step - 1, (lo + hi) // 2)
-        if _feasible(move, half_a, half_b, candidates[mid]):
+        jump = _feasible(move, half_a, half_b, candidates[mid])
+        if jump is None:
             hi = mid
         else:
-            lo, step = mid + 1, 2 * step
+            lo, step = max(mid + 1, int(np.searchsorted(candidates, jump))), 2 * step
     return float(candidates[lo])
 
 

@@ -393,7 +393,7 @@ def two_stage_query(
     head, tail = ranked[:candidates], ranked[candidates:]
     query, *rivals = _diagrams([db.entries[i] for i in (qi, *head)], "for re-ranking")
     head = head[_ranked(_bottleneck_row(query, rivals), id_rank[head])]
-    return [ids[i] for i in np.concatenate((head, tail))]
+    return [ids[i] for i in np.concatenate((head, tail)).tolist()]
 
 
 # -------------------------------------------------------------- index file

@@ -592,6 +592,17 @@ def test_index_bytes_are_pinned(tmp_path):
     assert got == INDEX_SHA256
 
 
+def test_bottleneck_matrix_bytes_are_pinned(tmp_path):
+    # The exact search may take other probes, never other floats: these are
+    # the bytes written before failed probes returned their jumps.
+    db, out = tmp_path / "db", tmp_path / "bmat.csv"
+    assert run("synth", "--classes", "6", "--per-class", "8", "--noise-points", "40",
+               "--seed", "3", "--out", str(db)) == 0
+    assert run("dist", "--diagrams", str(db), "--metric", "bottleneck", "--out", str(out)) == 0
+    assert (hashlib.sha256(out.read_bytes()).hexdigest()
+            == "b8ee071a1880936a1c082627dd135498fb260ab8fdfaad254812144b0400f60f")
+
+
 def test_far_points_under_s_and_t(tmp_path, capsys):
     d = tmp_path / "db"
     d.mkdir()

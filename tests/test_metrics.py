@@ -1,3 +1,4 @@
+import importlib.util
 import math
 import os
 import random
@@ -357,7 +358,7 @@ def test_bottleneck_equals_plain_bisection_on_reduced_graph(monkeypatch):
     def spy(adj):
         sides.append(len(adj))
         used = row_cover(adj)
-        probes[-1].append(used is not None)
+        probes[-1].append(used[0] is not None)
         return used
 
     def probe(*args):
@@ -392,7 +393,7 @@ def test_bottleneck_probes_lower_bound_first(monkeypatch):
 
     def spy(cross, half_a, half_b, t):
         ok = feasible(cross, half_a, half_b, t)
-        probes[-1].append((t, ok))
+        probes[-1].append((t, ok is None))
         return ok
 
     monkeypatch.setattr(metrics, "_feasible", spy)
@@ -456,7 +457,7 @@ def test_bound_and_probes_from_move_block_match_cost_matrix(monkeypatch):
         assert float(bound).hex() == float(L).hex()
         candidates, answer = plain_bisection(cost)
         for k in range(np.searchsorted(candidates, L), len(candidates)):
-            assert feasible(move, half_a, half_b, candidates[k]) == (k >= answer), (k, answer)
+            assert (feasible(move, half_a, half_b, candidates[k]) is None) == (k >= answer), (k, answer)
 
     for strategy in (reduced_graph_pairs(), grid_diagram_pairs()):
         settings(derandomize=True, database=None, max_examples=200, deadline=None)(
@@ -467,16 +468,21 @@ def test_search_above_lower_bound_loads_no_numpy_ma():
     """Sorting the candidates above L must not import ``numpy.ma``, as the first
     ``np.unique`` of a process does (about 15 ms).  Here L is 1: the lone point
     of ``a`` is 1 from both points of ``b``, but the probe at 1 fails, since one
-    of them must go to the diagonal, and the answer is the half-gap 4.5."""
+    of them must go to the diagonal, and the answer is the half-gap 4.5, the
+    jump of the probe at 1, so no candidate is sorted.  In the second pair L
+    is 1 again, and the jumps 1.5 and 2 (one big point of ``a`` for two and
+    then three of ``b``) take the search to the candidate sort."""
     import persvec
 
-    code = ("import sys; from persvec.diagram import PersistenceDiagram as D; "
-            "from persvec.metrics import bottleneck_distance; "
-            "print(bottleneck_distance(D.from_pairs([(0, 10)]), D.from_pairs([(0, 9), (0, 11)])), "
+    code = ("import sys; import numpy as np; from persvec.diagram import PersistenceDiagram as D; "
+            "from persvec.metrics import bottleneck_distance; sort, sorts = np.sort, []; "
+            "np.sort = lambda *args, **kw: sorts.append(1) or sort(*args, **kw); "
+            "print(bottleneck_distance(D.from_pairs([(0, 10)]), D.from_pairs([(0, 9), (0, 11)])), len(sorts), "
+            "bottleneck_distance(D.from_pairs([(1, 5)]), D.from_pairs([(0, 4), (2, 5), (0, 5)])), len(sorts), "
             "'numpy.ma' in sys.modules)")
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(persvec.__file__)))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout == "4.5 False\n"
+    assert out.stdout == "4.5 0 2.0 1 False\n"
 
 
 def test_bottleneck_search_probes_within_exponential_search_bound(monkeypatch):
@@ -545,6 +551,109 @@ def test_bottleneck_equals_plain_bisection_on_mesh_diagrams(n_lat, n_lon, filter
     bound = max(cost.min(axis=1).max(), cost.min(axis=0).max())
     assert (candidates[answer] > bound) == above_bound
     assert bottleneck_distance(a, b) == candidates[answer]
+
+
+SCRIPT = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                      "experiments", "bottleneck_pairs.py")
+
+
+def all_big_pair(n, seed):
+    """The all-big pair of ``experiments/bottleneck_pairs.py``: n points a
+    side whose half-gaps (0.5-1) exceed most costs between them."""
+    spec = importlib.util.spec_from_file_location("bottleneck_pairs", SCRIPT)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script.all_big_pair(n, seed)
+
+
+def test_failed_probes_jump_to_a_cost_at_most_the_answer(monkeypatch):
+    # A failed probe at t returns its jump: a cost of the stand-in matrix
+    # with t < jump <= answer, so nothing it skips can be the answer.  Both
+    # branches of the search loop run: a feasible probe, and a failed one
+    # whose jump passes mid + 1; the exponential-search bound holds.
+    probes = []  # (t, jump) for each probe of the current pair
+    feasible = metrics._feasible
+
+    def spy(*args):
+        jump = feasible(*args)
+        probes.append((args[3], jump))
+        return jump
+
+    monkeypatch.setattr(metrics, "_feasible", spy)
+    loop = {"feasible": 0, "jump past mid + 1": 0}
+
+    def check(a, b):
+        probes.clear()
+        answer = bottleneck_distance(a, b)
+        cost = _cost_matrix(a, b)
+        costs = np.unique(cost)
+        if 0 < len(cost) <= 300:  # the large pairs' answers are checked elsewhere
+            candidates, index = plain_bisection(cost)
+            assert answer == candidates[index]
+        bound = probes[0][0]  # L, probed first
+        if answer > bound:
+            k = int(np.searchsorted(costs[costs > bound], answer))
+            assert len(probes) - 1 <= 2 * math.ceil(math.log2(k + 2)) - 1, (k, len(probes))
+        for i, (t, jump) in enumerate(probes):
+            if jump is not None:
+                assert jump in costs and t < jump <= answer, (t, jump, answer)
+            if i >= 2 and jump is None:
+                loop["feasible"] += 1
+            elif i >= 2 and np.searchsorted(costs, jump) > np.searchsorted(costs, t) + 1:
+                loop["jump past mid + 1"] += 1
+
+    for strategy in (reduced_graph_pairs(), grid_diagram_pairs()):
+        settings(derandomize=True, database=None, max_examples=300, deadline=None)(
+            given(strategy)(lambda pair: check(*pair)))()
+    for a, b in large_cross_class_pairs():
+        check(a, b)
+    check(*(sphere_grid_diagram(seed, 60, 80, "line") for seed in (6, 7)))
+    for seed in range(1, 8):
+        for n in (60, 100):
+            check(*all_big_pair(n, seed))
+    assert min(loop.values()) >= 1, loop
+
+
+def test_pair_answered_by_first_jump_takes_two_probes_and_no_sort(monkeypatch):
+    # On pairs shaped like the benchmark's re-ranking, an answer at the
+    # jump of the probe at L takes that probe and one at the jump, and no
+    # candidate list is sorted; only a third probe follows a sort.
+    probes, sorts = [], []
+    feasible, sort = metrics._feasible, np.sort
+
+    def spy(*args):
+        probes.append(feasible(*args))
+        return probes[-1]
+
+    monkeypatch.setattr(metrics, "_feasible", spy)
+    monkeypatch.setattr(np, "sort", lambda *args, **kw: sorts.append(1) or sort(*args, **kw))
+    at_jump = 0
+    db = synthetic_database(30, 10, base_points=6, noise_points=54, seed=42)
+    rng = random.Random(42)
+    for i in range(0, len(db), 10):  # each class: four pairs within it, six across
+        for j in [i + k for k in rng.sample(range(1, 10), 4)] + rng.sample(range(len(db)), 6):
+            probes.clear()
+            sorts.clear()
+            answer = bottleneck_distance(db.entries[i].diagram, db.entries[j].diagram)
+            if probes[0] is not None and answer == probes[0]:
+                assert probes[1:] == [None] and not sorts
+                at_jump += 1
+            assert len(sorts) == (len(probes) > 2)
+    assert at_jump >= 30, at_jump
+
+
+def test_bottleneck_pairs_script_runs_small():
+    # experiments/bottleneck_pairs.py is the command behind the README's
+    # bottleneck numbers; --small runs every step on fewer, smaller pairs.
+    import persvec
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(persvec.__file__)))
+    out = subprocess.run([sys.executable, SCRIPT, "--small"], env=env, capture_output=True, text=True,
+                         check=True, timeout=60)
+    lines = out.stdout.splitlines()
+    assert lines[0] == "re-ranked pairs: 200 (20 queries x 10 heads), best of 1"
+    assert [line.split()[0] for line in lines[1:6]] == ["time", "probes", "answered", "at", "lists"]
+    assert [line.split("|")[1].strip() for line in lines[-2:]] == ["60", "200"]
 
 
 @st.composite
@@ -616,12 +725,16 @@ def test_row_cover_agrees_with_hopcroft_karp():
         graph.add_nodes_from(range(m + n))
         graph.add_edges_from((i, m + j) for i, j in zip(*np.nonzero(adj)))
         matched = sum(1 for node in hopcroft_karp_matching(graph, top_nodes=range(m)) if node < m)
-        used = metrics._row_cover(adj)
+        used, violator = metrics._row_cover(adj)
         if matched < m:
             assert used is None, adj.shape
             outcomes["Hall violation" if adj.any(axis=1).all() else "isolated row"] += 1
+            # the rows reported reach exactly the columns reported, and fewer
+            rows, cols = violator
+            assert len(set(rows.tolist())) == len(rows) > len(cols), adj.shape
+            assert sorted(cols.tolist()) == np.flatnonzero(adj[rows].any(axis=0)).tolist(), adj.shape
         else:
-            assert used is not None and len(used) == m == len(set(used)), adj.shape
+            assert used is not None and violator is None and len(used) == m == len(set(used)), adj.shape
             assert all(adj[i, j] for i, j in enumerate(used)), adj.shape
             outcomes["cover"] += 1
     assert min(outcomes.values()) >= 10, outcomes
