@@ -73,6 +73,21 @@ def _point_columns(births, deaths, multiplicities=None):
     return b, d, m
 
 
+def _readonly(array: np.ndarray) -> np.ndarray:
+    """``array``, flagged read-only."""
+    array.flags.writeable = False
+    return array
+
+
+def _run_starts(*keys: np.ndarray) -> np.ndarray:
+    """Where each run of equal rows of the sorted columns ``keys`` starts, as a bool mask.
+    With a sort it stands in for ``np.unique``, whose first call in a process imports
+    ``numpy.ma`` (about 15 ms) and which takes a slow path on int64 keys."""
+    first = np.ones(len(keys[0]), dtype=bool)
+    first[1:] = np.logical_or.reduce([k[1:] != k[:-1] for k in keys])
+    return first
+
+
 def _merged(keys: tuple[np.ndarray, ...], m: np.ndarray):
     """Sort rows by ``keys`` (most significant first), summing the multiplicities of
     rows equal in every key; return the sorted keys and multiplicities.
@@ -82,9 +97,7 @@ def _merged(keys: tuple[np.ndarray, ...], m: np.ndarray):
     """
     order = np.lexsort(keys[::-1])
     keys, m = [k[order] for k in keys], m[order]
-    first = np.ones(len(m), dtype=bool)
-    first[1:] = np.logical_or.reduce([k[1:] != k[:-1] for k in keys])
-    starts = np.flatnonzero(first)
+    starts = np.flatnonzero(_run_starts(*keys))
     if len(starts) == len(m):
         return (*keys, m)
     if int(m.max()) > (_LIMIT - 1) // len(m):  # int64 sums could wrap: add exactly
@@ -141,9 +154,7 @@ class PersistenceDiagram:
         if not (essential := _exact_multiplicity(essential_count)) and essential_count != 0:
             raise ValueError(f"essential_count {essential_count!r} is not an integer in [0, 2**63)")
         b, d, m = _point_columns(births, deaths, multiplicities)
-        columns = _merged((b, d), m)
-        for name, column in zip(self.__slots__, columns):
-            column.flags.writeable = False
+        for name, column in zip(self.__slots__, map(_readonly, _merged((b, d), m))):
             object.__setattr__(self, name, column)
         object.__setattr__(self, "essential_count", essential)
 
@@ -167,9 +178,7 @@ class PersistenceDiagram:
         if not hasattr(self, "_columns"):
             u, v = np.repeat(self.births, self.multiplicities), np.repeat(self.deaths, self.multiplicities)
             with np.errstate(over="ignore"):  # an overflow gives inf, as in point_distance
-                columns = (u, v, (v - u) / 2.0)
-            for column in columns:
-                column.flags.writeable = False
+                columns = tuple(map(_readonly, (u, v, (v - u) / 2.0)))
             object.__setattr__(self, "_columns", columns)
         return self._columns
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagram import PersistenceDiagram, _bulk_block, _lf_lines
+from .diagram import PersistenceDiagram, _bulk_block, _lf_lines, _readonly, _run_starts
 
 
 def _index_rows(entries, width: int, vertices: int, what: str) -> np.ndarray:
@@ -80,9 +80,8 @@ class TriangleMesh:
         return object.__new__(cls)._hold(vertices, triangles)
 
     def _hold(self, vertices: np.ndarray, triangles: np.ndarray) -> "TriangleMesh":
-        for name, view in (("vertices", vertices.view()), ("triangles", triangles.view())):
-            view.flags.writeable = False
-            object.__setattr__(self, name, view)
+        object.__setattr__(self, "vertices", _readonly(vertices.view()))
+        object.__setattr__(self, "triangles", _readonly(triangles.view()))
         return self
 
     @property
@@ -146,10 +145,7 @@ def parse_off(text: str) -> TriangleMesh:
     """
     if (mesh := _bulk_off(text)) is not None:
         return mesh
-    raw_lines = text.splitlines()
-    if "#" in text:
-        raw_lines = [raw.split("#", 1)[0] for raw in raw_lines]
-    lines = [line for line in map(str.strip, raw_lines) if line]
+    lines = [line for raw in text.splitlines() if (line := raw.partition("#")[0].strip())]
     if not lines:
         raise ValueError("empty OFF file")
     pos = 0
@@ -294,11 +290,8 @@ def triangle_edges(mesh: TriangleMesh) -> np.ndarray:
     n = mesh.vertex_count
     a = mesh.triangles[:, [0, 1, 0]].ravel()
     b = mesh.triangles[:, [1, 2, 2]].ravel()
-    # A sort and a neighbour mask: np.unique takes a slow path on int64 keys.
     keys = np.sort(np.minimum(a, b) * n + np.maximum(a, b))
-    first = np.ones(len(keys), dtype=bool)
-    first[1:] = keys[1:] != keys[:-1]
-    return np.column_stack(np.divmod(keys[first], n))
+    return np.column_stack(np.divmod(keys[_run_starts(keys)], n))
 
 
 def _check_graph(values, edges) -> tuple[np.ndarray, np.ndarray]:
@@ -344,11 +337,9 @@ def zero_persistence(values, edges) -> PersistenceDiagram:
     lo, hi = np.minimum(basin[head], basin[tail]), np.maximum(basin[head], basin[tail])
     cross = lo != hi
     keys = lo[cross] * n + hi[cross]
-    # A sort and a neighbour mask as in triangle_edges; a pair merges at its lowest edge.
     order = np.argsort(keys)
     keys = keys[order]
-    first = np.ones(len(keys), dtype=bool)
-    first[1:] = keys[1:] != keys[:-1]
+    first = _run_starts(keys)  # the runs of one basin pair, which merges at its lowest edge
     levels = np.minimum.reduceat(levels[cross][order], np.flatnonzero(first))
     order = np.argsort(levels, kind="stable")
     heads, tails = (x.tolist() for x in np.divmod(keys[first][order], n))

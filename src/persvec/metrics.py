@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from .coefficients import CoefficientVector, _check_shape
-from .diagram import PersistenceDiagram
+from .diagram import PersistenceDiagram, _run_starts
 from .transforms import _check_point
 
 COEFFICIENT_METRICS = ("d1", "d2", "d3")
@@ -117,7 +117,7 @@ def _cost_matrix(a: PersistenceDiagram, b: PersistenceDiagram) -> np.ndarray:
 def _row_cover(adj: np.ndarray):
     """``(used, None)``, ``used`` the columns of a matching of the bipartite
     graph ``adj`` (rows x columns, boolean) that covers every row, in row
-    order, or ``(None, (rows, cols))``: ``rows`` reach exactly the fewer ``cols``.
+    order, or ``(None, rows)``: ``rows`` have fewer neighbours than rows.
 
     Each row's edges become one Python-int bitset, and rows are matched
     in order.  A row takes its lowest free column; if it has none, a
@@ -131,7 +131,7 @@ def _row_cover(adj: np.ndarray):
     """
     m, n = adj.shape
     if m > n:
-        return None, (np.arange(m), np.flatnonzero(adj.any(axis=0)))
+        return None, np.arange(m)
     packed = np.packbits(adj, axis=1, bitorder="little").tobytes()
     width = (n + 7) // 8
     edges = [int.from_bytes(packed[k * width:(k + 1) * width], "little") for k in range(m)]
@@ -159,7 +159,7 @@ def _row_cover(adj: np.ndarray):
                 if open_:
                     break
             else:
-                return None, (np.array(queue), np.fromiter(parent, np.intp, len(parent)))
+                return None, np.array(queue)
         col = (open_ & -open_).bit_length() - 1
         free ^= 1 << col
         while True:  # flip the path from row back to start
@@ -183,23 +183,23 @@ def _feasible(move: np.ndarray, half_a: np.ndarray, half_b: np.ndarray, t: float
     every big point of ``a`` and every one of ``b`` give one that covers
     both (Mendelsohn-Dulmage), so each side is tested on its own, the
     second only when the first misses a big point of ``b``.  A side that
-    fails has rows S with fewer neighbours N(S), and t1 is the smallest
-    half-gap in S or move from S to a column outside N(S): for t' in
-    [t, t1) every row of S stays big and N(S) gains no edge, so S still
-    breaks Hall's condition.  t1 is a half-gap, or a move at most its
-    row's half-gap, which is that row's cross cell, so it is a cost.
+    fails has rows S with fewer neighbours N(S), read from the move block
+    as the columns whose cheapest move from S is at most t, and t1 is the
+    smallest half-gap in S or move from S to a column outside N(S): for
+    t' in [t, t1) every row of S stays big and N(S) gains no edge, so S
+    still breaks Hall's condition.  t1 is a half-gap, or a move at most
+    its row's half-gap, which is that row's cross cell, so it is a cost.
     """
     big_a, big_b = half_a > t, half_b > t
-    used, hall = _row_cover(move[big_a] <= t)  # distinct columns, so a count shows all of big_b
-    if hall is None and np.count_nonzero(big_b[used]) < np.count_nonzero(big_b):
-        used, hall = _row_cover((move[:, big_b] <= t).T)
+    used, rows = _row_cover(move[big_a] <= t)  # distinct columns, so a count shows all of big_b
+    if rows is None and np.count_nonzero(big_b[used]) < np.count_nonzero(big_b):
+        used, rows = _row_cover((move[:, big_b] <= t).T)
         move, half_a, big_a = move.T, half_b, big_b
-    if hall is None:
+    if rows is None:
         return None
-    rows = np.flatnonzero(big_a)[hall[0]]
+    rows = np.flatnonzero(big_a)[rows]
     near = move[rows].min(axis=0, initial=np.inf)  # each column's cheapest move from S
-    near[hall[1]] = np.inf
-    return min(half_a[rows].min(), near.min(initial=np.inf))
+    return min(half_a[rows].min(), near[near > t].min(initial=np.inf))
 
 
 def bottleneck_distance(a: PersistenceDiagram, b: PersistenceDiagram) -> float:
@@ -238,9 +238,8 @@ def bottleneck_distance(a: PersistenceDiagram, b: PersistenceDiagram) -> float:
         t = jump
     cross = np.minimum(move, np.maximum(half_a[:, None], half_b[None, :]))
     costs = np.concatenate((cross.ravel(), half_a, half_b))
-    # A sort and a neighbour mask: np.unique would import numpy.ma on first use.
     candidates = np.sort(costs[costs >= t])
-    candidates = candidates[np.append(True, candidates[1:] != candidates[:-1])]
+    candidates = candidates[_run_starts(candidates)]
     # Nothing below lo is feasible and candidates[hi] is (the largest cost always
     # is); mid gallops (1, 5, 13, ...) until a probe is feasible, then bisects.
     lo, hi, step = 0, len(candidates) - 1, 2

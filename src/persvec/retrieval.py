@@ -30,7 +30,7 @@ import orjson
 from . import coefficients
 from .coefficients import CoefficientVector, _check_shape, embed_diagrams
 from .coefficients import embed_diagram  # noqa: F401 -- perfbench's tracer wraps it here
-from .diagram import PersistenceDiagram, _BadRow, _parse_rows, _plain_floats, _records
+from .diagram import PersistenceDiagram, _BadRow, _parse_rows, _plain_floats, _readonly, _records
 from .metrics import _check_metric, _coefficient_rows, bottleneck_distance
 from .metrics import coefficient_distance  # noqa: F401 -- perfbench's tracer wraps it here
 from .transforms import get_transform
@@ -235,11 +235,6 @@ def _bottleneck_matrix(diagrams: list[PersistenceDiagram], threads: int) -> np.n
         futures = [pool.submit(_upper_rows, diagrams, range(c, n - 1, workers)) for c in range(workers)]
         strides = [fut.result() for fut in futures]
     return _mirrored(n, (strides[i % workers][i // workers] for i in range(n - 1)))
-
-
-def _readonly(array: np.ndarray) -> np.ndarray:
-    array.flags.writeable = False
-    return array
 
 
 def _stacked_vectors(db: LabeledDatabase, transform: str) -> np.ndarray:

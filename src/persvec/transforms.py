@@ -28,7 +28,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .diagram import _exact_multiplicity, _merged
+from .diagram import _exact_multiplicity, _merged, _readonly
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -83,10 +83,10 @@ class ComplexRootList:
         return roots
 
     def _merge(self, re, im, multiplicities) -> None:
-        re, im, self.multiplicities = _merged((re, im), multiplicities)
-        self.values = re.astype(complex)
-        self.values.imag = im
-        self.values.flags.writeable = self.multiplicities.flags.writeable = False
+        re, im, multiplicities = _merged((re, im), multiplicities)
+        values = re.astype(complex)
+        values.imag = im
+        self.values, self.multiplicities = map(_readonly, (values, multiplicities))
 
     @property
     def roots(self) -> tuple[ComplexRoot, ...]:

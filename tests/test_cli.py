@@ -323,6 +323,25 @@ def test_failed_rename_names_the_destination_and_leaves_no_temp_file(tmp_path, c
     assert list(target.iterdir()) == []
 
 
+def test_failed_rename_with_unremovable_temp_file_names_the_destination(tmp_path, capsys, monkeypatch):
+    d = tmp_path / "db"
+    assert run("synth", "--classes", "2", "--per-class", "2", "--out", str(d)) == 0
+
+    def fail(code):
+        def call(path, *args):
+            raise OSError(code, os.strerror(code), path)
+        return call
+
+    monkeypatch.setattr(os, "replace", fail(errno.EXDEV))
+    monkeypatch.setattr(os, "unlink", fail(errno.EACCES))  # the temp file stays
+    capsys.readouterr()
+    index = tmp_path / "index.csv"
+    assert run("embed", "--diagrams", str(d), "--transform", "R", "--out", str(index)) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: [Errno {errno.EXDEV}] {os.strerror(errno.EXDEV)}: {str(index)!r}\n"
+    assert [p.name.startswith(".part-") for p in tmp_path.iterdir() if p != d] == [True]
+
+
 def test_uncreatable_temp_file_names_the_destination(tmp_path, capsys, monkeypatch):
     d = tmp_path / "db"
     assert run("synth", "--classes", "2", "--per-class", "2", "--out", str(d)) == 0

@@ -381,6 +381,12 @@ def test_database_pass_edge_cases():
             bits(embed_diagram(d, kind, 5, 5).coefficients) for d in database]
 
 
+def test_empty_database_pass_raises_its_own_error():
+    # with no diagram to replay a failed pass on, the pass's error is raised
+    with pytest.raises(ValueError, match="^width must be a positive integer, got 0$"):
+        embed_diagrams([], "T", 0)
+
+
 def test_database_pass_holds_one_block_at_a_time():
     """300 diagrams of 600 points span several kernel blocks; the pass's peak stays
     within a few block-sized arrays, where one complex array of all 180,000 roots

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -614,6 +615,39 @@ def test_failed_probes_jump_to_a_cost_at_most_the_answer(monkeypatch):
     assert min(loop.values()) >= 1, loop
 
 
+def test_bottleneck_symmetric_to_the_bit():
+    # A matrix computes each pair in one orientation and two_stage_query in
+    # the other; the move block of (b, a) is the transpose of that of (a, b),
+    # so both searches end at the same cost, float for float.
+    def check(a, b):
+        assert bottleneck_distance(a, b).hex() == bottleneck_distance(b, a).hex()
+
+    for strategy in (reduced_graph_pairs(), grid_diagram_pairs()):
+        settings(derandomize=True, database=None, max_examples=300, deadline=None)(
+            given(strategy)(lambda pair: check(*pair)))()
+    for a, b in large_cross_class_pairs():
+        check(a, b)
+    for seed in range(1, 8):
+        for n in (60, 100):
+            check(*all_big_pair(n, seed))
+
+
+def test_bottleneck_memory_stays_near_the_move_block():
+    # The search holds the (m, n) move block and a few arrays of its size,
+    # about 27 bytes a cell on the 1,000-point pairs; the (m + n)^2 stand-in
+    # matrix alone would take 32.
+    for a, b in list(large_cross_class_pairs())[2:]:
+        bottleneck_distance(a, b)  # expands both diagrams
+        tracemalloc.start()
+        try:
+            bottleneck_distance(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        cells = a.total_multiplicity() * b.total_multiplicity()
+        assert cells == 10**6 and peak <= 40 * cells, peak
+
+
 def test_pair_answered_by_first_jump_takes_two_probes_and_no_sort(monkeypatch):
     # On pairs shaped like the benchmark's re-ranking, an answer at the
     # jump of the probe at L takes that probe and one at the jump, and no
@@ -729,10 +763,9 @@ def test_row_cover_agrees_with_hopcroft_karp():
         if matched < m:
             assert used is None, adj.shape
             outcomes["Hall violation" if adj.any(axis=1).all() else "isolated row"] += 1
-            # the rows reported reach exactly the columns reported, and fewer
-            rows, cols = violator
-            assert len(set(rows.tolist())) == len(rows) > len(cols), adj.shape
-            assert sorted(cols.tolist()) == np.flatnonzero(adj[rows].any(axis=0)).tolist(), adj.shape
+            # the rows reported are distinct and reach fewer columns
+            rows = violator
+            assert len(set(rows.tolist())) == len(rows) > np.count_nonzero(adj[rows].any(axis=0)), adj.shape
         else:
             assert used is not None and violator is None and len(used) == m == len(set(used)), adj.shape
             assert all(adj[i, j] for i, j in enumerate(used)), adj.shape
