@@ -124,13 +124,6 @@ class PersistencePoint:
         for name, column in zip(("birth", "death", "multiplicity"), columns):
             object.__setattr__(self, name, column.item())
 
-    @classmethod
-    def _trusted(cls, birth: float, death: float, multiplicity: int) -> "PersistencePoint":
-        """A point from values already checked by :func:`_point_columns`."""
-        point = object.__new__(cls)
-        point.__dict__.update(birth=birth, death=death, multiplicity=multiplicity)
-        return point
-
     @property
     def persistence(self) -> float:
         return self.death - self.birth
@@ -188,7 +181,7 @@ class PersistenceDiagram:
     @property
     def points(self) -> tuple[PersistencePoint, ...]:
         """The points as objects, in (birth, death) order."""
-        return tuple(PersistencePoint._trusted(*row) for row in self._rows())
+        return tuple(PersistencePoint(*row) for row in self._rows())
 
     def total_multiplicity(self) -> int:
         """Number of proper points counted with multiplicity, as an exact int."""

@@ -91,7 +91,7 @@ class TriangleMesh:
 
 @dataclass(frozen=True, eq=False)
 class MeshFrame:
-    """A reference point and a unit direction fixed to a shape."""
+    """A reference point and a unit direction fixed to a shape, held as read-only views."""
 
     center: np.ndarray
     axis: np.ndarray
@@ -103,8 +103,8 @@ class MeshFrame:
             raise ValueError("frame entries must be finite")
         if abs(np.linalg.norm(axis) - 1.0) > 1e-9:
             raise ValueError(f"axis must be unit length, got norm {np.linalg.norm(axis)}")
-        object.__setattr__(self, "center", center)
-        object.__setattr__(self, "axis", axis)
+        object.__setattr__(self, "center", _readonly(center.view()))
+        object.__setattr__(self, "axis", _readonly(axis.view()))
 
 
 # ------------------------------------------------------------------ OFF

@@ -125,13 +125,10 @@ def _row_cover(adj: np.ndarray):
     Hopcroft & Karp 1973) looks for a free column, and the path to the
     first one found is flipped.  If the search runs dry, each column it
     reached is matched to a row it visited, so those rows have one
-    neighbour fewer than rows.  More rows than columns give all rows.  A
-    search visits each row and column at most once, so a cover costs
-    O(m (m + n)) steps on n/64-word integers.
+    neighbour fewer than rows.  A search visits each row and column at
+    most once, so a cover costs O(m (m + n)) steps on n/64-word integers.
     """
     m, n = adj.shape
-    if m > n:
-        return None, np.arange(m)
     packed = np.packbits(adj, axis=1, bitorder="little").tobytes()
     width = (n + 7) // 8
     edges = [int.from_bytes(packed[k * width:(k + 1) * width], "little") for k in range(m)]

@@ -124,7 +124,7 @@ def _reject_rows(bad: np.ndarray, message: str) -> None:
 
 @dataclass(eq=False)
 class DistanceMatrix:
-    """Symmetric all-pairs distances with a zero diagonal."""
+    """Symmetric all-pairs distances with a zero diagonal, held as a read-only view."""
 
     ids: tuple[str, ...]
     values: np.ndarray
@@ -144,7 +144,7 @@ class DistanceMatrix:
         _reject_rows(values != values.T, "matrix must be symmetric")
         _reject_rows(np.diag(values) != 0, "matrix diagonal must be zero")
         object.__setattr__(self, "ids", ids)
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", _readonly(values.view()))
 
 
 @dataclass(frozen=True)

@@ -73,17 +73,8 @@ class ComplexRootList:
     def __init__(self, roots: Iterable[ComplexRoot] = ()) -> None:
         roots = tuple(roots)
         values = np.array([r.value for r in roots], dtype=complex)
-        self._merge(values.real, values.imag, np.array([r.multiplicity for r in roots], np.int64))
-
-    @classmethod
-    def _from_columns(cls, re, im, multiplicities) -> "ComplexRootList":
-        """Roots re + i*im, already checked finite, with multiplicities >= 1."""
-        roots = cls.__new__(cls)
-        roots._merge(re, im, multiplicities)
-        return roots
-
-    def _merge(self, re, im, multiplicities) -> None:
-        re, im, multiplicities = _merged((re, im), multiplicities)
+        multiplicities = np.array([r.multiplicity for r in roots], np.int64)
+        re, im, multiplicities = _merged((values.real, values.imag), multiplicities)
         values = re.astype(complex)
         values.imag = im
         self.values, self.multiplicities = map(_readonly, (values, multiplicities))
@@ -198,4 +189,4 @@ def transform_diagram(diagram, kind: str) -> ComplexRootList:
     map's ValueError, at the first such point in (birth, death) order.
     """
     z = _roots(kind, diagram.births, diagram.deaths)
-    return ComplexRootList._from_columns(z.real, z.imag, diagram.multiplicities)
+    return ComplexRootList(map(ComplexRoot, z.tolist(), diagram.multiplicities.tolist()))

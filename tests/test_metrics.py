@@ -471,19 +471,20 @@ def test_search_above_lower_bound_loads_no_numpy_ma():
     of ``a`` is 1 from both points of ``b``, but the probe at 1 fails, since one
     of them must go to the diagonal, and the answer is the half-gap 4.5, the
     jump of the probe at 1, so no candidate is sorted.  In the second pair L
-    is 1 again, and the jumps 1.5 and 2 (one big point of ``a`` for two and
-    then three of ``b``) take the search to the candidate sort."""
+    is 1 again, and the jumps 1.5 and 2.5 (one big point of ``a`` for three
+    and then two of ``b``) take the search to the candidate sort, whose
+    first probe, at 2.5, is feasible."""
     import persvec
 
     code = ("import sys; import numpy as np; from persvec.diagram import PersistenceDiagram as D; "
             "from persvec.metrics import bottleneck_distance; sort, sorts = np.sort, []; "
             "np.sort = lambda *args, **kw: sorts.append(1) or sort(*args, **kw); "
             "print(bottleneck_distance(D.from_pairs([(0, 10)]), D.from_pairs([(0, 9), (0, 11)])), len(sorts), "
-            "bottleneck_distance(D.from_pairs([(1, 5)]), D.from_pairs([(0, 4), (2, 5), (0, 5)])), len(sorts), "
+            "bottleneck_distance(D.from_pairs([(0, 5)]), D.from_pairs([(1, 4), (0, 6), (1, 6)])), len(sorts), "
             "'numpy.ma' in sys.modules)")
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(persvec.__file__)))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout == "4.5 0 2.0 1 False\n"
+    assert out.stdout == "4.5 0 2.5 1 False\n"
 
 
 def test_bottleneck_search_probes_within_exponential_search_bound(monkeypatch):

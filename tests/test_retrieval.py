@@ -19,6 +19,7 @@ from persvec.coefficients import (
     embed_roots,
 )
 from persvec.diagram import PersistenceDiagram
+from persvec.mesh import MeshFrame
 from persvec.metrics import COEFFICIENT_METRICS, bottleneck_distance, coefficient_distance
 from persvec.retrieval import (
     DatabaseEntry,
@@ -156,6 +157,21 @@ def test_distance_matrix_single_entry():
     mat = distance_matrix(db, "bottleneck")
     assert mat.values.shape == (1, 1)
     assert mat.values[0, 0] == 0.0
+
+
+def test_distance_matrix_and_mesh_frame_hold_read_only_views():
+    d = PersistenceDiagram.from_pairs([(0, 1)])
+    matrix = distance_matrix(embed_database(diagram_db([d, d]), "R"), "d1", transform="R")
+    with pytest.raises(ValueError, match="read-only"):
+        matrix.values[0, 1] = -1.0
+    center, axis = np.zeros(3), np.array([0, 0, 1.0])
+    frame = MeshFrame(center, axis)
+    for held in (frame.center, frame.axis):
+        with pytest.raises(ValueError, match="read-only"):
+            held[2] = 5.0
+    values = np.zeros((1, 1))
+    assert np.shares_memory(DistanceMatrix(("a",), values).values, values)  # a view, not a copy
+    assert values.flags.writeable and center.flags.writeable and axis.flags.writeable
 
 
 def test_distance_matrix_identical_diagrams():
